@@ -16,11 +16,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-BENCHES='BenchmarkMigdIngest|BenchmarkStreamAnalyze|BenchmarkB2Decode|BenchmarkPolicyComparison$|BenchmarkPolicyComparisonModern/|BenchmarkCoalescingSavings|BenchmarkSnapshotRoundTrip|BenchmarkDistributedGrid'
+BENCHES='BenchmarkMigdIngest|BenchmarkStreamAnalyze|BenchmarkB2Decode|BenchmarkPolicyComparison$|BenchmarkPolicyComparisonModern/|BenchmarkCoalescingSavings|BenchmarkSnapshotRoundTrip|BenchmarkDistributedGrid|BenchmarkPeriodogram'
 OUT=${1:-${BENCH_OUT:-BENCH.json}}
 export GOMAXPROCS=${GOMAXPROCS:-4}
 
-raw=$(go test -run '^$' -bench "$BENCHES" -benchtime "${BENCHTIME:-5x}" -benchmem -count 1 .)
+raw=$(go test -run '^$' -bench "$BENCHES" -benchtime "${BENCHTIME:-5x}" -benchmem -count 1 . ./internal/stats)
 echo "$raw"
 
 echo "$raw" | awk '

@@ -1075,8 +1075,9 @@ func BenchmarkMigdIngest(b *testing.B) {
 		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/rec")
 	})
 	// The fold is the daemon's own contribution to GET /v1/report —
-	// rendering the folded state costs the same as offline (dominated by
-	// the Periodogram, measured by BenchmarkPeriodicityDetection).
+	// rendering the folded state costs the same as offline. Its
+	// periodogram is measured by BenchmarkPeriodicityDetection here and
+	// per series length by BenchmarkPeriodogram in internal/stats.
 	b.Run("fold", func(b *testing.B) {
 		s := newServer()
 		for _, f := range frames {

@@ -386,6 +386,36 @@ func TestPeriodicityDayAndWeek(t *testing.T) {
 	}
 }
 
+// TestRenderPeriodicityPinned pins the §5.2 periodicity line for the
+// 731-day calibration fixture and a 90-day paper-1993 trace, and the
+// bare heading for a series with no requests at all.
+func TestRenderPeriodicityPinned(t *testing.T) {
+	cfg, err := workload.ScenarioConfig("paper-1993", 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Days = 90
+	res, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Options{Start: res.Config.Start, Days: res.Config.Days, Tree: res.Tree})
+	a.AddAll(res.Records)
+	for _, c := range []struct {
+		name string
+		r    *Report
+		want string
+	}{
+		{"731-day fixture", report(t), "Periodicity of MSS requests (dominant periods, hours): 24 12 169 84\n"},
+		{"90-day paper-1993", a.Report(), "Periodicity of MSS requests (dominant periods, hours): 24 12 166 8\n"},
+		{"no requests", &Report{HourlyRequests: make([]float64, 24*90)}, "Periodicity of MSS requests (dominant periods, hours):\n"},
+	} {
+		if got := RenderPeriodicity(c.r); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestRenderersProduceOutput(t *testing.T) {
 	r := report(t)
 	outputs := map[string]string{

@@ -38,12 +38,21 @@ type Config struct {
 // cycle. All fields are guarded by the coordinator mutex.
 type taskState struct {
 	done     bool
-	result   []byte              // buffered until delivered in order
-	attempts int                 // failed or expired leases so far
-	readyAt  time.Time           // pending: claimable at/after this time
-	leases   map[int64]time.Time // active lease ID -> expiry deadline
-	specAt   time.Time           // leased: speculative duplicate allowed after this
+	result   []byte    // buffered until delivered in order
+	attempts int       // failed or expired leases so far
+	readyAt  time.Time // pending: claimable at/after this time
+	leased   int       // open leases on this task
+	specAt   time.Time // leased: speculative duplicate allowed after this
 	lastErr  string
+}
+
+// lease is one granted claim on a task, open until a result or failure
+// report arrives under its ID or its deadline passes. A task's leases
+// stay open after another lease completes it: their holders are still
+// executing and will come back.
+type lease struct {
+	task     int
+	deadline time.Time
 }
 
 // Coordinator owns a run's task queue and serves the worker protocol.
@@ -57,6 +66,8 @@ type Coordinator struct {
 	tasks    []taskState
 	frontier int // next task ID to deliver to Handle
 	leaseSeq int64
+	leases   map[int64]lease // open leases by ID
+	closed   int             // leases closed so far, by result, failure report or expiry
 	rng      *rand.Rand
 	fatal    error
 	done     chan struct{} // closed on completion or fatal error
@@ -77,11 +88,12 @@ func NewCoordinator(cfg Config, opts Options) (*Coordinator, error) {
 		return nil, errors.New("dist: Options.Now is required on coordinators (pass host.Now at the boundary)")
 	}
 	c := &Coordinator{
-		cfg:   cfg,
-		opts:  opts,
-		tasks: make([]taskState, len(cfg.Payloads)),
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		opts:   opts,
+		tasks:  make([]taskState, len(cfg.Payloads)),
+		leases: map[int64]lease{},
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		done:   make(chan struct{}),
 	}
 	if opts.JournalDir != "" {
 		jr, err := openJournal(opts.JournalDir, cfg.Kind, cfg.PlanHash, len(cfg.Payloads))
@@ -139,14 +151,7 @@ loop:
 			runErr = c.fatal
 			c.mu.Unlock()
 			if runErr == nil && c.opts.Linger > 0 {
-				// Stay up briefly answering "done" so idle workers exit
-				// cleanly instead of dialing a dead address.
-				t := time.NewTimer(c.opts.Linger)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-				}
-				t.Stop()
+				c.linger(ctx)
 			}
 			break loop
 		case <-ctx.Done():
@@ -166,6 +171,36 @@ loop:
 	defer cancel()
 	srv.Shutdown(shutCtx)
 	return runErr
+}
+
+// linger keeps the finished coordinator answering "done" so workers
+// exit cleanly instead of dialing a dead address. It returns once no
+// lease is open and a whole Linger has passed without one closing: a
+// worker still executing a task speculation completed elsewhere, or
+// retrying an upload, comes back to claim after its lease closes, so
+// every closing restarts the wait.
+func (c *Coordinator) linger(ctx context.Context) {
+	c.mu.Lock()
+	seen := c.closed
+	c.mu.Unlock()
+	t := time.NewTimer(c.opts.Linger)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return
+		}
+		c.mu.Lock()
+		c.expireLocked(c.opts.Now())
+		quiet := len(c.leases) == 0 && c.closed == seen
+		seen = c.closed
+		c.mu.Unlock()
+		if quiet {
+			return
+		}
+		t.Reset(c.opts.Linger)
+	}
 }
 
 // expiryInterval picks the lease-expiry ticker period: a quarter lease,
@@ -225,23 +260,21 @@ func (c *Coordinator) claimLocked(now time.Time) claimMsg {
 	grant := func(id int) claimMsg {
 		t := &c.tasks[id]
 		c.leaseSeq++
-		if t.leases == nil {
-			t.leases = map[int64]time.Time{}
-		}
-		t.leases[c.leaseSeq] = now.Add(c.opts.Lease)
+		c.leases[c.leaseSeq] = lease{task: id, deadline: now.Add(c.opts.Lease)}
+		t.leased++
 		t.specAt = now.Add(c.opts.SpeculateAfter)
 		return claimMsg{ID: id, Lease: c.leaseSeq, Payload: c.cfg.Payloads[id], Claimed: true}
 	}
 	for id := c.frontier; id < hi; id++ {
 		t := &c.tasks[id]
-		if !t.done && len(t.leases) == 0 && !t.readyAt.After(now) {
+		if !t.done && t.leased == 0 && !t.readyAt.After(now) {
 			return grant(id)
 		}
 	}
 	if c.opts.SpeculateAfter > 0 {
 		for id := c.frontier; id < hi; id++ {
 			t := &c.tasks[id]
-			if !t.done && len(t.leases) == 1 && !t.specAt.After(now) {
+			if !t.done && t.leased == 1 && !t.specAt.After(now) {
 				return grant(id)
 			}
 		}
@@ -253,29 +286,37 @@ func (c *Coordinator) claimLocked(now time.Time) claimMsg {
 // worker; workers jitter around it.
 const waitHint = 100
 
-// expireLocked re-queues tasks whose every lease has expired: the
-// worker holding the lease is presumed dead, the attempt is charged,
-// and the task becomes claimable again after a jittered exponential
-// backoff. A task exhausting MaxAttempts fails the whole run.
+// expireLocked closes every lease past its deadline: the worker
+// holding it is presumed dead, and the attempt is charged to its task
+// unless another lease already completed it. A task left with no lease
+// becomes claimable again after a jittered exponential backoff; one
+// exhausting MaxAttempts fails the whole run.
 func (c *Coordinator) expireLocked(now time.Time) {
-	for id := c.frontier; id < len(c.tasks) && id < c.frontier+c.opts.Window; id++ {
-		t := &c.tasks[id]
-		if t.done || len(t.leases) == 0 {
+	var lids []int64
+	for lid := range c.leases {
+		lids = append(lids, lid)
+	}
+	slices.Sort(lids)
+	for _, lid := range lids {
+		l := c.leases[lid]
+		if l.deadline.After(now) {
 			continue
 		}
-		var lids []int64
-		for lid := range t.leases {
-			lids = append(lids, lid)
-		}
-		slices.Sort(lids)
-		for _, lid := range lids {
-			if t.leases[lid].After(now) {
-				continue
-			}
-			delete(t.leases, lid)
-			c.chargeAttemptLocked(id, now, "lease expired (worker presumed dead)")
-		}
+		c.closeLeaseLocked(lid, l.task)
+		c.chargeAttemptLocked(l.task, now, "lease expired (worker presumed dead)")
 	}
+}
+
+// closeLeaseLocked closes lease lid if it is open on task id, reporting
+// whether it was.
+func (c *Coordinator) closeLeaseLocked(lid int64, id int) bool {
+	if l, ok := c.leases[lid]; !ok || l.task != id {
+		return false
+	}
+	delete(c.leases, lid)
+	c.tasks[id].leased--
+	c.closed++
+	return true
 }
 
 // chargeAttemptLocked records one failed or expired attempt on a task
@@ -291,7 +332,7 @@ func (c *Coordinator) chargeAttemptLocked(id int, now time.Time, why string) {
 		c.failLocked(fmt.Errorf("dist: task %d failed after %d attempts: %s", id, t.attempts, why))
 		return
 	}
-	if len(t.leases) == 0 {
+	if t.leased == 0 {
 		t.readyAt = now.Add(backoff(c.rng, c.opts.BackoffBase, c.opts.BackoffCap, t.attempts))
 	}
 }
@@ -309,10 +350,10 @@ func (c *Coordinator) failLocked(err error) {
 	}
 }
 
-// handleResult accepts one task's result: the first result for a task
-// wins (every run's results are byte-identical, so duplicates — from
-// speculation, retries, or a duplicated delivery — are simply
-// discarded), the result is spooled to the journal before the task is
+// handleResult accepts one task's result and closes the lease it names:
+// the first result for a task wins (every run's results are
+// byte-identical, so duplicates — from speculation, retries, or a
+// duplicated delivery — are simply discarded), the result is spooled to the journal before the task is
 // marked done, and completed results are handed to Handle in strict
 // task order.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -321,6 +362,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dist: bad task id", http.StatusBadRequest)
 		return
 	}
+	// Lease IDs start at 1, so an upload naming none closes no lease;
+	// its lease closes at expiry instead.
+	lid, _ := strconv.ParseInt(r.URL.Query().Get("lease"), 10, 64)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+1024))
 	if err != nil {
 		http.Error(w, "dist: short read: "+err.Error(), http.StatusBadRequest)
@@ -339,6 +383,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, c.fatal.Error(), http.StatusConflict)
 		return
 	}
+	c.closeLeaseLocked(lid, id)
 	t := &c.tasks[id]
 	if t.done {
 		w.Write([]byte("duplicate"))
@@ -353,7 +398,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	t.done = true
 	t.result = payload
-	t.leases = nil
 	if err := c.deliverLocked(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -400,9 +444,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	now := c.opts.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &c.tasks[msg.ID]
-	if _, held := t.leases[msg.Lease]; held && !t.done {
-		delete(t.leases, msg.Lease)
+	if c.closeLeaseLocked(msg.Lease, msg.ID) {
 		c.chargeAttemptLocked(msg.ID, now, msg.Error)
 	}
 	w.Write([]byte("ok"))

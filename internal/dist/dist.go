@@ -84,10 +84,12 @@ type Options struct {
 	// only — results never depend on it.
 	Seed int64
 
-	// Linger keeps the coordinator answering "done" to late workers for
-	// this long after the last result lands, so idle workers exit
-	// cleanly instead of dialing a dead address. Default 1 s; negative
-	// disables lingering.
+	// Linger keeps the coordinator answering "done" to late workers
+	// after the last result lands, so they exit cleanly instead of
+	// dialing a dead address: it stays up until every lease it granted
+	// has closed (result, failure report or expiry) and then until this
+	// long has passed with none closing. Default 1 s; negative disables
+	// lingering.
 	Linger time.Duration
 }
 

@@ -186,6 +186,68 @@ func TestChaosGridReproducesGolden(t *testing.T) {
 	}
 }
 
+// TestStragglerOutlivesLingerExitsCleanly: a worker still executing a
+// task that speculation already completed elsewhere reaches the
+// coordinator long after the last result landed. The coordinator must
+// still be answering "done" then, so every worker exits cleanly.
+func TestStragglerOutlivesLingerExitsCleanly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full distributed grid with a 1.5 s straggler")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	g, err := NewGridCoordinator(quickPlan(t), Options{
+		SpeculateAfter: 100 * time.Millisecond,
+		Now:            time.Now,
+		Seed:           7,
+		Linger:         300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, served := serveGrid(t, ctx, g)
+	slow := func(kind string, plan []byte) (ExecFunc, error) {
+		exec, err := DefaultExec(kind, plan)
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, payload []byte) ([]byte, error) {
+			select {
+			case <-time.After(1500 * time.Millisecond):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return exec(ctx, payload)
+		}, nil
+	}
+	wait := startWorkers(ctx, base, 2, func(i int) WorkerOptions {
+		opts := WorkerOptions{Seed: int64(i + 1)}
+		if i == 1 {
+			opts.NewExec = slow
+		}
+		return opts
+	})
+	if err := <-served; err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	for i, err := range wait() {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	m, err := g.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, localManifestJSON(t)) {
+		t.Error("distributed manifest differs from the local run")
+	}
+}
+
 // TestCoordinatorCrashResume kills a journaled coordinator mid-grid and
 // proves a restart over the same journal finishes the run without
 // re-executing completed cells and still emits the local manifest byte

@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // The paper's first headline finding (§1, §5.2) is that MSS requests are
@@ -55,8 +56,9 @@ type PeriodogramPoint struct {
 
 // Periodogram computes the discrete Fourier periodogram of the
 // mean-centred series at frequencies k/n for k = 1..n/2, returning points
-// sorted by period ascending. O(n^2) — fine for a 2-year hourly series
-// (17,544 samples) and has no dependencies.
+// sorted by period ascending. The transform is a mixed-radix FFT costing
+// O(n·Σp) for the prime factors p of n, with scratch of at most three
+// complex128 slices of length n, released on return.
 func Periodogram(series []float64) []PeriodogramPoint {
 	n := len(series)
 	if n < 4 {
@@ -67,19 +69,13 @@ func Periodogram(series []float64) []PeriodogramPoint {
 		mean += v
 	}
 	mean /= float64(n)
+	x := centredDFT(series, mean)
 	pts := make([]PeriodogramPoint, 0, n/2)
-	for k := 1; k <= n/2; k++ {
-		var re, im float64
-		w := 2 * math.Pi * float64(k) / float64(n)
-		for t, v := range series {
-			c := v - mean
-			re += c * math.Cos(w*float64(t))
-			im -= c * math.Sin(w*float64(t))
-		}
+	for k := n / 2; k >= 1; k-- {
+		re, im := real(x[k]), imag(x[k])
 		power := (re*re + im*im) / float64(n)
 		pts = append(pts, PeriodogramPoint{Period: float64(n) / float64(k), Power: power})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Period < pts[j].Period })
 	return pts
 }
 
@@ -116,11 +112,18 @@ func Detrend(series []float64) []float64 {
 
 // DominantPeriods returns up to max periods (in sample units) ranked by
 // spectral power, collapsing peaks closer than tol (relative) to a stronger
-// peak. The series is detrended first and periods longer than a quarter of
-// the series (trend remnants, not cycles) are discarded. For the NCAR
-// hourly series this returns 24 and 168 at the top.
+// peak; equal powers rank the shorter period first. The series is
+// detrended first and periods longer than a quarter of the series (trend
+// remnants, not cycles) are discarded. A series with no signal beyond
+// rounding after detrending (all zero, constant, or a straight line)
+// returns no periods. For the NCAR hourly series this returns 24 and 168
+// at the top.
 func DominantPeriods(series []float64, max int, tol float64) []float64 {
-	pts := Periodogram(Detrend(series))
+	d := Detrend(series)
+	if signalFree(series, d) {
+		return nil
+	}
+	pts := Periodogram(d)
 	if len(pts) == 0 {
 		return nil
 	}
@@ -132,10 +135,14 @@ func DominantPeriods(series []float64, max int, tol float64) []float64 {
 		}
 	}
 	pts = filtered
-	byPower := append([]PeriodogramPoint(nil), pts...)
-	sort.Slice(byPower, func(i, j int) bool { return byPower[i].Power > byPower[j].Power })
+	slices.SortFunc(pts, func(a, b PeriodogramPoint) int {
+		if c := cmp.Compare(b.Power, a.Power); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Period, b.Period)
+	})
 	var out []float64
-	for _, p := range byPower {
+	for _, p := range pts {
 		if len(out) >= max {
 			break
 		}
@@ -151,6 +158,19 @@ func DominantPeriods(series []float64, max int, tol float64) []float64 {
 		}
 	}
 	return out
+}
+
+// signalFree reports whether the detrended series d carries no more
+// energy than rounding the input series leaves behind: Σd² at most
+// n·(1e-9·max|v|)². Its periodogram would rank rounding noise.
+func signalFree(series, d []float64) bool {
+	var peak, energy float64
+	for i, v := range series {
+		peak = math.Max(peak, math.Abs(v))
+		energy += d[i] * d[i]
+	}
+	floor := 1e-9 * peak
+	return energy <= float64(len(series))*floor*floor
 }
 
 // AutocorrelationPeaks finds local maxima of the autocorrelation function

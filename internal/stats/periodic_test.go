@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -137,5 +139,140 @@ func TestDominantPeriodsDeduplicates(t *testing.T) {
 	}
 	if math.Abs(periods[0]-periods[1])/periods[1] < 0.2 {
 		t.Errorf("periods %v not deduplicated", periods)
+	}
+}
+
+// periodogramDirect is the reference periodogram: the direct O(n²)
+// DFT, one cos/sin pair per term, with points sorted by period.
+func periodogramDirect(series []float64) []PeriodogramPoint {
+	n := len(series)
+	if n < 4 {
+		return nil
+	}
+	mean := 0.0
+	for _, v := range series {
+		mean += v
+	}
+	mean /= float64(n)
+	pts := make([]PeriodogramPoint, 0, n/2)
+	for k := 1; k <= n/2; k++ {
+		var re, im float64
+		w := 2 * math.Pi * float64(k) / float64(n)
+		for t, v := range series {
+			c := v - mean
+			re += c * math.Cos(w*float64(t))
+			im -= c * math.Sin(w*float64(t))
+		}
+		power := (re*re + im*im) / float64(n)
+		pts = append(pts, PeriodogramPoint{Period: float64(n) / float64(k), Power: power})
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Period < pts[j].Period })
+	return pts
+}
+
+// checkAgainstDirect compares Periodogram with the reference: periods
+// bit-identical and in the same order, powers within 1e-9 of the
+// series' largest power. By Parseval the largest power is at least the
+// mean-centred energy over n, which is the scale used instead when
+// rounding has wiped out the spectrum itself (a constant series whose
+// centred values are a uniform rounding residue).
+func checkAgainstDirect(t *testing.T, series []float64) {
+	t.Helper()
+	got, want := Periodogram(series), periodogramDirect(series)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d: %d points, want %d", len(series), len(got), len(want))
+	}
+	mean := 0.0
+	for _, v := range series {
+		mean += v
+	}
+	mean /= float64(len(series))
+	peak := 0.0
+	for _, v := range series {
+		peak += (v - mean) * (v - mean)
+	}
+	peak /= float64(len(series))
+	for _, p := range want {
+		peak = math.Max(peak, p.Power)
+	}
+	for i := range want {
+		if got[i].Period != want[i].Period {
+			t.Fatalf("n=%d: point %d period %v, want %v", len(series), i, got[i].Period, want[i].Period)
+		}
+		if d := math.Abs(got[i].Power - want[i].Power); d > 1e-9*peak {
+			t.Fatalf("n=%d: period %v power %v, want %v (diff %.3g of peak %.3g)",
+				len(series), want[i].Period, got[i].Power, want[i].Power, d/peak, peak)
+		}
+	}
+}
+
+// TestPeriodogramMatchesDirectDFT covers smooth, mixed-radix and prime
+// lengths, including both the 731-day (17,544) and 90-day (2,160)
+// hourly series lengths and the 17,543 = 53·331 a trace one hour short
+// gives.
+func TestPeriodogramMatchesDirectDFT(t *testing.T) {
+	for _, n := range []int{4, 5, 7, 8, 97, 1024, 2160, 2161, 4099, 17543, 17544} {
+		if testing.Short() && n > 5000 {
+			continue
+		}
+		s := synthDiurnal(n/168+1, 0.5, int64(n))[:n]
+		checkAgainstDirect(t, s)
+	}
+}
+
+// FuzzPeriodogram compares Periodogram with the direct DFT over fuzzed
+// lengths (4–600) and values.
+func FuzzPeriodogram(f *testing.F) {
+	f.Add(uint16(0), 1.0, []byte{1, 2, 3, 4})
+	f.Add(uint16(164), 0.25, []byte("daily and weekly"))
+	f.Add(uint16(593), -3e5, []byte{0, 255, 7})
+	f.Fuzz(func(t *testing.T, length uint16, scale float64, data []byte) {
+		if math.IsNaN(scale) || math.Abs(scale) > 1e100 || len(data) == 0 {
+			t.Skip()
+		}
+		s := make([]float64, 4+int(length)%597)
+		for i := range s {
+			s[i] = scale * float64(int8(data[i%len(data)])+int8(i*int(data[0])))
+		}
+		checkAgainstDirect(t, s)
+	})
+}
+
+// TestDominantPeriodsSignalFree: a series whose detrended energy is at
+// the rounding level of its values has no dominant period, instead of
+// the tie order of zero powers or the rounding noise of a ramp.
+func TestDominantPeriodsSignalFree(t *testing.T) {
+	n := 2000
+	zero, constant, ramp := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range constant {
+		constant[i] = 7
+		ramp[i] = 3 + 0.5*float64(i)
+	}
+	for name, s := range map[string][]float64{"zero": zero, "constant": constant, "ramp": ramp} {
+		if got := DominantPeriods(s, 4, 0.15); len(got) != 0 {
+			t.Errorf("%s series: dominant periods %v, want none", name, got)
+		}
+	}
+	// A ramp carrying a faint daily cycle still reports it.
+	for i := range ramp {
+		ramp[i] += 1e-4 * math.Sin(2*math.Pi*float64(i)/24)
+	}
+	if got := DominantPeriods(ramp, 1, 0.15); len(got) != 1 || got[0] != 2000.0/83 {
+		t.Errorf("ramp plus daily cycle: dominant periods %v, want [%v]", got, 2000.0/83)
+	}
+}
+
+// BenchmarkPeriodogram times the periodogram at the 90-day (2,160) and
+// 731-day (17,544) hourly series lengths, and at 17,543 = 53·331, a
+// length with only large prime factors.
+func BenchmarkPeriodogram(b *testing.B) {
+	for _, n := range []int{2160, 17543, 17544} {
+		s := synthDiurnal(n/168+1, 0.5, 1)[:n]
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Periodogram(s)
+			}
+		})
 	}
 }
