@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -925,6 +926,41 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal("empty trace")
 		}
 	}
+}
+
+// BenchmarkGenerateScenarios drains GenerateStream for the policy
+// tournament's four scenarios (perfbench's tournament workload) at scale
+// 0.005 over the full 731-day calendar, reporting generated records per
+// second. The calendar's rejection sampling is the generator's inner
+// loop, so this is the gate on the per-day Rhythm tables.
+func BenchmarkGenerateScenarios(b *testing.B) {
+	scenarios := []string{"paper-1993", "diurnal-interactive", "checkpoint-restart", "archive-coldscan"}
+	b.ReportAllocs()
+	recs := 0
+	for i := 0; i < b.N; i++ {
+		for _, name := range scenarios {
+			cfg, err := workload.ScenarioConfig(name, 0.005, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Days = workload.PaperSpanDays
+			sr, err := workload.GenerateStream(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				_, err := sr.Stream.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs++
+			}
+		}
+	}
+	b.ReportMetric(float64(recs)/b.Elapsed().Seconds(), "recs/s")
 }
 
 func BenchmarkMSSReplay(b *testing.B) {

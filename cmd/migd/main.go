@@ -57,6 +57,15 @@ func main() {
 	}
 }
 
+// The daemon's HTTP server timeouts: a client that has not finished its
+// request headers within readHeaderTimeout is cut off, and a keep-alive
+// connection idle for idleTimeout is closed. Bodies are not bounded —
+// a large /v1/ingest upload may legitimately take minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // run builds, restores, serves, drains, and finally checkpoints the
 // daemon.
 func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardDur time.Duration, stpK float64, migrateAfter time.Duration) error {
@@ -92,7 +101,12 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: listen, Handler: s}
+	hs := &http.Server{
+		Addr:              listen,
+		Handler:           s,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	if ckptInterval > 0 && checkpoint != "" {
 		go func() {
 			t := time.NewTicker(ckptInterval)

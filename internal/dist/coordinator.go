@@ -119,6 +119,16 @@ func NewCoordinator(cfg Config, opts Options) (*Coordinator, error) {
 // the journal — zero on a fresh run.
 func (c *Coordinator) Resumed() int { return c.resumed }
 
+// The coordinator's HTTP server timeouts. Workers send small requests
+// whose headers arrive at once, so a connection that has not finished
+// its request headers within serverReadHeaderTimeout is stuck or
+// hostile and is closed; a keep-alive connection idle for
+// serverIdleTimeout is closed too, and its worker simply redials.
+const (
+	serverReadHeaderTimeout = 5 * time.Second
+	serverIdleTimeout       = time.Minute
+)
+
 // Serve runs the coordinator protocol on ln until every task has been
 // delivered, the run fails, or ctx is cancelled. On cancellation the
 // HTTP server drains gracefully and the journal (if any) is already
@@ -131,7 +141,11 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	mux.HandleFunc("POST "+pathClaim, c.handleClaim)
 	mux.HandleFunc("POST "+pathResult, c.handleResult)
 	mux.HandleFunc("POST "+pathFail, c.handleFail)
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -2,8 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -334,5 +337,48 @@ func TestCoordinatorRequiresClock(t *testing.T) {
 	}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "Now") {
 		t.Fatalf("clock-free coordinator accepted: %v", err)
+	}
+}
+
+// TestServeCutsOffStalledHeaders: a client that connects and never
+// finishes its request headers is disconnected once
+// serverReadHeaderTimeout passes, rather than holding a connection (and
+// its goroutine) for as long as it likes.
+func TestServeCutsOffStalledHeaders(t *testing.T) {
+	t.Parallel()
+	c, _ := testCoordinator(t, 1, Options{Now: newFakeClock().Now})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- c.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	begin := time.Now()
+	if _, err := io.WriteString(conn, "POST "+pathClaim+" HTTP/1.1\r\nHost: coordinator\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	conn.SetReadDeadline(begin.Add(serverReadHeaderTimeout + slack))
+	n, err := conn.Read(make([]byte, 1))
+	elapsed := time.Since(begin)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v (bound %v)", elapsed, serverReadHeaderTimeout)
+	}
+	if err != io.EOF || n != 0 {
+		t.Fatalf("stalled client read (%d bytes, %v), want the server to close the connection", n, err)
+	}
+	if elapsed < serverReadHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout could apply", elapsed)
 	}
 }

@@ -272,6 +272,12 @@ func (r *Reader) parseLine(line []byte) (Record, error) {
 		return Record{}, fmt.Errorf("trace: line %d: bad delta %q", r.line, f[0])
 	}
 	rec.Start = r.prevStart.Add(time.Duration(dt) * time.Second)
+	if rec.Start.IsZero() {
+		// Validate refuses the zero time, so Writer could not re-encode
+		// the record: reject it here rather than accept a trace this
+		// package cannot write back.
+		return Record{}, fmt.Errorf("trace: line %d: start time is the zero time", r.line)
+	}
 	if err := decodeFlags(f[3], &rec); err != nil {
 		return Record{}, fmt.Errorf("trace: line %d: %v", r.line, err)
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -147,16 +146,18 @@ func (g *generator) sampleBirth(f *File, rng *rand.Rand) time.Time {
 		day = g.sampleReadDay(rng)
 	}
 	secs := rng.Int63n(24 * 3600)
-	return g.cfg.Start.AddDate(0, 0, day).Add(time.Duration(secs) * time.Second)
+	return g.rhythm.dayStart[day].Add(time.Duration(secs) * time.Second)
 }
 
 // sampleReadDay draws a trace day proportional to read intensity
 // (weekday, holiday, growth) by rejection.
+//
+//filemig:hotpath
 func (g *generator) sampleReadDay(rng *rand.Rand) int {
-	max := g.rhythm.MaxReadDayWeight()
+	max, weight := g.rhythm.maxRead, g.rhythm.readWeight
 	for {
 		d := rng.Intn(g.cfg.Days)
-		if rng.Float64()*max <= g.rhythm.ReadDayWeight(d) {
+		if rng.Float64()*max <= weight[d] {
 			return d
 		}
 	}
@@ -168,8 +169,10 @@ func (g *generator) sampleReadDay(rng *rand.Rand) int {
 // flat hour. A file's first access uses full-strength day rejection (it
 // sets the weekly shape); follow-up reads use a softened acceptance so
 // they stay near their nominal day and Figure 9's short intervals
-// survive. Seconds are drawn uniformly and later rewritten by burst
-// packing.
+// survive (the acceptances are tabled per day by NewShapedRhythm).
+// Seconds are drawn uniformly and later rewritten by burst packing.
+//
+//filemig:hotpath
 func (g *generator) mapToRhythm(at time.Time, op trace.Op, first bool, rng *rand.Rand) time.Time {
 	day := int(at.Sub(g.cfg.Start) / (24 * time.Hour))
 	if day < 0 {
@@ -180,20 +183,12 @@ func (g *generator) mapToRhythm(at time.Time, op trace.Op, first bool, rng *rand
 	}
 	var hour int
 	if op == trace.Read {
-		max := g.rhythm.MaxReadDayWeight()
+		accept := g.rhythm.followAccept
+		if first {
+			accept = g.rhythm.firstAccept
+		}
 		for tries := 0; tries < 14; tries++ {
-			accept := g.rhythm.ReadDayWeight(day) / max
-			if !first {
-				// Soften the weekday/growth filter for follow-up reads so
-				// they stay near their nominal day and Figure 9's short
-				// intervals survive the calendar remap — but keep holiday
-				// suppression at full strength: nobody reads model output
-				// on Christmas Day no matter when it was written.
-				hol := g.rhythm.HolidayFactor(day)
-				base := accept / hol
-				accept = hol * math.Pow(base, 0.4)
-			}
-			if rng.Float64() <= accept {
+			if rng.Float64() <= accept[day] {
 				break
 			}
 			day++
@@ -206,7 +201,7 @@ func (g *generator) mapToRhythm(at time.Time, op trace.Op, first bool, rng *rand
 		hour = g.rhythm.SampleWriteHour(rng)
 	}
 	sec := rng.Int63n(3600)
-	return g.cfg.Start.AddDate(0, 0, day).
+	return g.rhythm.dayStart[day].
 		Add(time.Duration(hour) * time.Hour).
 		Add(time.Duration(sec) * time.Second)
 }
@@ -278,7 +273,7 @@ func (g *generator) buildErrors(rng *rand.Rand, planned int) []trace.Record {
 	for i := 0; i < n; i++ {
 		day := g.sampleReadDay(rng)
 		hour := g.rhythm.SampleReadHour(rng)
-		at := g.cfg.Start.AddDate(0, 0, day).
+		at := g.rhythm.dayStart[day].
 			Add(time.Duration(hour) * time.Hour).
 			Add(time.Duration(rng.Int63n(3600)) * time.Second)
 		uid := uint32(1 + rng.Intn(g.cfg.Users))

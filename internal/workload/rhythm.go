@@ -44,14 +44,28 @@ var readDayWeights = [7]float64{0.45, 0.95, 1.25, 1.30, 1.30, 1.20, 0.55}
 // the course of the week, as the Cray CPU runs batch jobs all weekend."
 var writeDayWeights = [7]float64{0.97, 0.96, 1.00, 1.02, 1.02, 1.01, 1.00}
 
-// Rhythm answers intensity queries for a configured trace.
+// writeHourTotal is the sum of writeHourWeights, in hour order.
+var writeHourTotal = hourTotal(&writeHourWeights)
+
+// Rhythm answers intensity queries for a configured trace. The read
+// calendar is evaluated once, at construction, into per-day tables
+// indexed by trace day, so each draw of the generator's rejection loops
+// is a table lookup.
 type Rhythm struct {
-	start      time.Time
-	days       int
-	holidays   bool
-	readGrowth float64
-	holiday    map[int]float64 // day index -> read multiplier
-	readHours  [24]float64     // hour-of-day read weights, possibly reshaped
+	start          time.Time
+	days           int
+	holidays       bool
+	readGrowth     float64
+	readHours      [24]float64 // hour-of-day read weights, possibly reshaped
+	readHoursTotal float64     // hourTotal(&readHours)
+
+	// Per-day tables, each of length days.
+	dayStart     []time.Time // start.AddDate(0, 0, d)
+	holiday      []float64   // read multiplier; 0 on ordinary days
+	readWeight   []float64   // ReadDayWeight(d)
+	firstAccept  []float64   // readWeight[d] / maxRead
+	followAccept []float64   // softened follow-up acceptance, see NewShapedRhythm
+	maxRead      float64     // max of readWeight (0 for an empty trace)
 }
 
 // NewRhythm builds the rhythm model for a trace starting at start and
@@ -75,9 +89,41 @@ func NewShapedRhythm(start time.Time, days int, holidays bool, readGrowth, sharp
 			r.readHours[h] = math.Pow(w, sharpness)
 		}
 	}
-	r.holiday = map[int]float64{}
+	r.readHoursTotal = hourTotal(&r.readHours)
+
+	n := maxInt(days, 0)
+	r.dayStart = make([]time.Time, n)
+	r.holiday = make([]float64, n)
+	r.readWeight = make([]float64, n)
+	r.firstAccept = make([]float64, n)
+	r.followAccept = make([]float64, n)
+	for d := range r.dayStart {
+		r.dayStart[d] = start.AddDate(0, 0, d)
+	}
 	if holidays {
 		r.markHolidays()
+	}
+	for d := range r.readWeight {
+		w := r.weekdayGrowthWeight(d)
+		if f := r.holiday[d]; f != 0 {
+			w *= f
+		}
+		r.readWeight[d] = w
+		if w > r.maxRead {
+			r.maxRead = w
+		}
+	}
+	for d, w := range r.readWeight {
+		accept := w / r.maxRead
+		r.firstAccept[d] = accept
+		// Follow-up reads soften the weekday/growth filter so they stay
+		// near their nominal day and Figure 9's short intervals survive
+		// the calendar remap — but keep holiday suppression at full
+		// strength: nobody reads model output on Christmas Day no matter
+		// when it was written.
+		hol := r.HolidayFactor(d)
+		base := accept / hol
+		r.followAccept[d] = hol * math.Pow(base, 0.4)
 	}
 	return r
 }
@@ -109,10 +155,8 @@ func (r *Rhythm) suppress(from time.Time, days int, factor float64) {
 	}
 }
 
-// dayInfo reports the weekday of trace day d.
-func (r *Rhythm) weekday(day int) time.Weekday {
-	return r.start.AddDate(0, 0, day).Weekday()
-}
+// weekday reports the weekday of trace day d.
+func (r *Rhythm) weekday(day int) time.Weekday { return r.dayTime(day).Weekday() }
 
 // growth reports the linear read-growth multiplier on trace day d,
 // normalised to average 1 over the trace.
@@ -126,14 +170,22 @@ func (r *Rhythm) growth(day int) float64 {
 	return g0 + (r.readGrowth*g0-g0)*frac
 }
 
+// weekdayGrowthWeight is the read intensity of trace day d before
+// holiday suppression.
+func (r *Rhythm) weekdayGrowthWeight(day int) float64 {
+	return readDayWeights[r.weekday(day)] * r.growth(day)
+}
+
 // ReadDayWeight reports the relative read intensity of trace day d,
-// combining weekday, holiday and growth effects.
+// combining weekday, holiday and growth effects. Days outside the trace
+// carry no holidays.
+//
+//filemig:hotpath
 func (r *Rhythm) ReadDayWeight(day int) float64 {
-	w := readDayWeights[r.weekday(day)] * r.growth(day)
-	if f, ok := r.holiday[day]; ok {
-		w *= f
+	if day >= 0 && day < r.days {
+		return r.readWeight[day]
 	}
-	return w
+	return r.weekdayGrowthWeight(day)
 }
 
 // WriteDayWeight reports the relative write intensity of trace day d.
@@ -142,7 +194,7 @@ func (r *Rhythm) WriteDayWeight(day int) float64 {
 	w := writeDayWeights[r.weekday(day)]
 	// Figure 6: "write requests increased at the end of the year" — a
 	// mild end-of-December bump while scientists queue up long runs.
-	d := r.start.AddDate(0, 0, day)
+	d := r.dayTime(day)
 	if r.holidays && d.Month() == time.December && d.Day() >= 20 {
 		w *= 1.10
 	}
@@ -152,39 +204,48 @@ func (r *Rhythm) WriteDayWeight(day int) float64 {
 // HolidayFactor reports the read-suppression multiplier of trace day d
 // (1 on ordinary days).
 func (r *Rhythm) HolidayFactor(day int) float64 {
-	if f, ok := r.holiday[day]; ok {
-		return f
+	if day >= 0 && day < r.days && r.holiday[day] != 0 {
+		return r.holiday[day]
 	}
 	return 1
 }
 
 // MaxReadDayWeight bounds ReadDayWeight over the trace, for rejection
 // sampling.
-func (r *Rhythm) MaxReadDayWeight() float64 {
-	max := 0.0
-	for d := 0; d < r.days; d++ {
-		if w := r.ReadDayWeight(d); w > max {
-			max = w
-		}
+func (r *Rhythm) MaxReadDayWeight() float64 { return r.maxRead }
+
+// dayTime reports the start of trace day d.
+func (r *Rhythm) dayTime(day int) time.Time {
+	if day >= 0 && day < r.days {
+		return r.dayStart[day]
 	}
-	return max
+	return r.start.AddDate(0, 0, day)
 }
 
 // SampleReadHour draws an hour of day from the read profile.
 func (r *Rhythm) SampleReadHour(rng *rand.Rand) int {
-	return sampleHour(r.readHours, rng)
+	return sampleHour(&r.readHours, r.readHoursTotal, rng)
 }
 
 // SampleWriteHour draws an hour of day from the write profile.
 func (r *Rhythm) SampleWriteHour(rng *rand.Rand) int {
-	return sampleHour(writeHourWeights, rng)
+	return sampleHour(&writeHourWeights, writeHourTotal, rng)
 }
 
-func sampleHour(weights [24]float64, rng *rand.Rand) int {
+// hourTotal sums an hour-of-day profile in hour order.
+func hourTotal(weights *[24]float64) float64 {
 	total := 0.0
 	for _, w := range weights {
 		total += w
 	}
+	return total
+}
+
+// sampleHour draws an hour with probability proportional to weights,
+// whose sum is total.
+//
+//filemig:hotpath
+func sampleHour(weights *[24]float64, total float64, rng *rand.Rand) int {
 	u := rng.Float64() * total
 	for h, w := range weights {
 		u -= w
@@ -203,6 +264,5 @@ func (r *Rhythm) Start() time.Time { return r.start }
 
 // IsHoliday reports whether reads are suppressed on trace day d.
 func (r *Rhythm) IsHoliday(day int) bool {
-	_, ok := r.holiday[day]
-	return ok
+	return day >= 0 && day < r.days && r.holiday[day] != 0
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -165,4 +166,139 @@ func TestMaxReadDayWeightBounds(t *testing.T) {
 			t.Fatalf("day %d weight %v exceeds reported max %v", d, r.ReadDayWeight(d), max)
 		}
 	}
+}
+
+// oracleHolidays is the holiday calendar computed directly, as a map
+// from trace day to read multiplier: the per-call form the Rhythm's
+// tables replace.
+func oracleHolidays(start time.Time, days int) map[int]float64 {
+	hol := map[int]float64{}
+	suppress := func(from time.Time, n int, factor float64) {
+		for i := 0; i < n; i++ {
+			d := int(from.AddDate(0, 0, i).Sub(start).Hours() / 24)
+			if d >= 0 && d < days {
+				hol[d] = factor
+			}
+		}
+	}
+	end := start.AddDate(0, 0, days)
+	for year := start.Year(); year <= end.Year(); year++ {
+		nov1 := time.Date(year, time.November, 1, 0, 0, 0, 0, time.UTC)
+		offset := (int(time.Thursday) - int(nov1.Weekday()) + 7) % 7
+		suppress(nov1.AddDate(0, 0, offset+21), 2, 0.25)
+		suppress(time.Date(year, time.December, 24, 0, 0, 0, 0, time.UTC), 9, 0.30)
+	}
+	return hol
+}
+
+// TestRhythmTablesMatchFormula pins every per-day table entry to the
+// direct per-day computation, bit for bit: the tables are a cache, so
+// the generated traces must not move by a single byte.
+func TestRhythmTablesMatchFormula(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		holidays  bool
+		sharpness float64
+	}{
+		{"holidays", true, 1},
+		{"no-holidays", false, 1},
+		{"sharpened", true, 2.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start, days := trace.Epoch, PaperSpanDays
+			r := NewShapedRhythm(start, days, tc.holidays, 2.0, tc.sharpness)
+			hol := map[int]float64{}
+			if tc.holidays {
+				hol = oracleHolidays(start, days)
+			}
+			// direct is the read day weight computed per call.
+			direct := func(d int) float64 {
+				w := readDayWeights[start.AddDate(0, 0, d).Weekday()] * r.growth(d)
+				if f, ok := hol[d]; ok {
+					w *= f
+				}
+				return w
+			}
+			max := 0.0
+			for d := 0; d < days; d++ {
+				if w := direct(d); w > max {
+					max = w
+				}
+			}
+			if got := r.MaxReadDayWeight(); got != max {
+				t.Fatalf("MaxReadDayWeight = %v, fresh loop finds %v", got, max)
+			}
+			for d := 0; d < days; d++ {
+				w := direct(d)
+				f, isHol := hol[d]
+				if !isHol {
+					f = 1
+				}
+				first := w / max
+				follow := f * math.Pow(first/f, 0.4)
+				switch {
+				case r.ReadDayWeight(d) != w:
+					t.Fatalf("day %d: ReadDayWeight %v, direct %v", d, r.ReadDayWeight(d), w)
+				case r.HolidayFactor(d) != f:
+					t.Fatalf("day %d: HolidayFactor %v, direct %v", d, r.HolidayFactor(d), f)
+				case r.IsHoliday(d) != isHol:
+					t.Fatalf("day %d: IsHoliday %v, direct %v", d, r.IsHoliday(d), isHol)
+				case r.firstAccept[d] != first:
+					t.Fatalf("day %d: first-access acceptance %v, direct %v", d, r.firstAccept[d], first)
+				case r.followAccept[d] != follow:
+					t.Fatalf("day %d: follow-up acceptance %v, direct %v", d, r.followAccept[d], follow)
+				case !r.dayStart[d].Equal(start.AddDate(0, 0, d)):
+					t.Fatalf("day %d: day start %v, direct %v", d, r.dayStart[d], start.AddDate(0, 0, d))
+				}
+			}
+			// Outside the trace the per-call formula still answers, with
+			// no holidays.
+			for _, d := range []int{-400, -1, days, days + 30} {
+				w := readDayWeights[start.AddDate(0, 0, d).Weekday()] * r.growth(d)
+				if r.ReadDayWeight(d) != w || r.HolidayFactor(d) != 1 || r.IsHoliday(d) {
+					t.Errorf("out-of-range day %d: weight %v (want %v), factor %v, holiday %v",
+						d, r.ReadDayWeight(d), w, r.HolidayFactor(d), r.IsHoliday(d))
+				}
+				if !r.dayTime(d).Equal(start.AddDate(0, 0, d)) {
+					t.Errorf("out-of-range day %d: day start %v", d, r.dayTime(d))
+				}
+			}
+			// The hour totals equal the per-call sums, and the draws the
+			// per-call form would make.
+			hours := readHourWeights
+			if tc.sharpness != 1 {
+				for h, w := range hours {
+					hours[h] = math.Pow(w, tc.sharpness)
+				}
+			}
+			if r.readHours != hours {
+				t.Fatalf("read hour profile %v, want %v", r.readHours, hours)
+			}
+			a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			for i := 0; i < 5000; i++ {
+				if got, want := r.SampleReadHour(a), oracleSampleHour(hours, b); got != want {
+					t.Fatalf("read draw %d: hour %d, per-call sum gives %d", i, got, want)
+				}
+				if got, want := r.SampleWriteHour(a), oracleSampleHour(writeHourWeights, b); got != want {
+					t.Fatalf("write draw %d: hour %d, per-call sum gives %d", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// oracleSampleHour is sampleHour with the profile re-summed per call.
+func oracleSampleHour(weights [24]float64, rng *rand.Rand) int {
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	u := rng.Float64() * total
+	for h, w := range weights {
+		u -= w
+		if u <= 0 {
+			return h
+		}
+	}
+	return 23
 }
