@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"time"
 
 	"filemig/internal/device"
@@ -14,40 +14,30 @@ import (
 	"filemig/internal/units"
 )
 
-// The one online accumulator behind every analysis path. The slice path
-// feeds an Accumulator directly (New + Add); the stream and b2 paths cut
-// the trace into contiguous segments, accumulate each into a Partial,
-// and Fold them into a master in time order; the s1 snapshot codec
-// serializes an Accumulator and decodes back into a Partial that
-// FoldReplay merges; and the migd daemon (internal/serve) keeps live
-// Partials per ingest segment and FoldPartials them on demand. The
-// three folds differ in how much they recompute and what they assume
-// about segment order:
+// The one online accumulator behind every analysis path, and its one
+// fold. The slice path feeds an Accumulator directly (New + Add). Every
+// other path cuts the trace into segments, accumulates each into a
+// Partial, and merges them with FoldPartials: the stream and b2 paths
+// fold their shards one at a time in time order through the ordered
+// shard pool (shard.go); the s1 snapshot codec decodes each snapshot
+// into a Partial and folds it the same way; and the migd daemon
+// (internal/serve) keeps live Partials per ingest segment and folds them
+// all at once on demand.
 //
-//   - Fold requires master and segment to share a calendar origin
-//     (AccumulateStream and AccumulateB2 resolve Options.Start once for
-//     exactly this reason). Every derived series then folds by integer
-//     sums and sample-list concatenation, and only the per-file journal
-//     is replayed — the fast in-process merge.
-//   - FoldReplay makes no origin assumption: only the fields a journal
-//     replay cannot recompute — the op×class accumulators and the
-//     startup-latency CDFs, which need the device class the journal does
-//     not carry — fold by addition, and everything else is recomputed by
-//     replaying the segment's journal through the exact per-record
-//     transitions the slice path runs. Snapshots produced by different
-//     processes merge through this path, one at a time, in trace order.
-//   - FoldPartials drops the remaining assumption — that segments
-//     arrive contiguous and in order. It takes every segment at once,
-//     k-way merges their journals back into global record time, and
-//     replays the merged stream into a fresh master: segments whose
-//     time ranges interleave arbitrarily (a live daemon's out-of-order
-//     batch arrivals) still fold to the exact slice-path state.
-//
-// Every fold replays per-file state rather than merging it, because
-// §5.3 dedup survival does not compose from end states (see the package
-// comment in snapshot.go), and every fold preserves the master's
-// first-seen FileID assignment by interning segment paths in the order
-// the replayed records first touch them.
+// A Partial accumulates only what its journal cannot reproduce — record
+// and error counts, the op×class accumulators and the startup-latency
+// CDFs, which need the device class and startup latency the journal
+// does not carry — plus the journal itself and its record-time bounds.
+// FoldPartials adds those up and then replays the segments' journals,
+// k-way merged into global record time, through addRef: the exact
+// per-record transitions the slice path runs. Per-file state must be
+// replayed rather than merged, because §5.3 dedup survival does not
+// compose from end states (see the package comment in snapshot.go); the
+// calendar, periodicity and Figure 7 and 10 series are replayed too,
+// so segments need not share a calendar origin, and their time ranges
+// may interleave. The master's first-seen FileID assignment is kept by
+// interning segment paths in the order the replayed records first touch
+// them.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -57,18 +47,15 @@ type Accumulator = Analysis
 // accumulator name.
 func NewAccumulator(opts Options) *Accumulator { return New(opts) }
 
-// Partial is one contiguous trace segment's partial accumulation: a
-// segment-local Accumulator whose reference journal is always retained
-// (it is the replay log Fold and FoldReplay consume), plus the segment's
-// boundary instants for Figure 7's cross-segment intervals and for
-// ordering segments at fold time.
+// Partial is one trace segment's partial accumulation: a segment-local
+// Accumulator holding what FoldPartials sums, whose reference journal —
+// the replay log FoldPartials consumes — is always retained, plus the
+// segment's record-time bounds.
 type Partial struct {
 	acc *Accumulator
 
-	// first and last bound every observed record, errors included;
-	// firstOK and lastOK bound the good references only.
-	first, last     time.Time
-	firstOK, lastOK time.Time
+	// first and last bound every observed record, errors included.
+	first, last time.Time
 }
 
 // NewPartial opens an empty segment accumulator. The segment journals
@@ -81,23 +68,18 @@ func NewPartial(opts Options) *Partial {
 }
 
 // Observe feeds one record into the segment. Records must arrive in
-// non-decreasing start order within the segment. Per-file dedup state is
-// not advanced here — it cannot be known without the earlier segments —
-// only captured in the journal for replay at fold time.
+// non-decreasing start order within the segment. Nothing addRef computes
+// is advanced here — per-file dedup state cannot be known without the
+// earlier segments — only captured in the journal for replay at fold
+// time.
 func (p *Partial) Observe(r *trace.Record) {
 	if p.first.IsZero() {
 		p.first = r.Start
 	}
 	p.last = r.Start
-	if !p.acc.addShared(r) {
-		return
+	if p.acc.addShared(r) {
+		p.acc.appendJournal(p.acc.internFile(r.MSSPath), r.Op, r.Start, r.Size)
 	}
-	p.acc.addInterval(r.Start)
-	p.acc.appendJournal(p.acc.internFile(r.MSSPath), r.Op, r.Start, r.Size)
-	if p.firstOK.IsZero() {
-		p.firstOK = r.Start
-	}
-	p.lastOK = r.Start
 }
 
 // Records reports how many records the segment has observed, errors
@@ -107,6 +89,11 @@ func (p *Partial) Records() int64 { return p.acc.total }
 // Errors reports how many of the segment's records were error records.
 func (p *Partial) Errors() int64 { return p.acc.errors }
 
+// DedupWindow reports the §5.3 window the segment was accumulated
+// under. FoldPartials refuses a segment whose window differs from the
+// master's.
+func (p *Partial) DedupWindow() time.Duration { return p.acc.opts.DedupWindow }
+
 // VisitRefs replays the segment's good references in record order,
 // calling fn with each reference's canonical path, op, start, and size —
 // the hook migd uses to rebuild its live per-file table after restoring
@@ -114,11 +101,7 @@ func (p *Partial) Errors() int64 { return p.acc.errors }
 func (p *Partial) VisitRefs(fn func(path string, op trace.Op, start time.Time, size units.Bytes)) {
 	for k := range p.acc.journal {
 		e := &p.acc.journal[k]
-		op := trace.Read
-		if e.write {
-			op = trace.Write
-		}
-		fn(p.acc.interner.Path(e.id), op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
+		fn(p.acc.interner.Path(e.id), e.op(), time.Unix(0, e.start).UTC(), units.Bytes(e.size))
 	}
 }
 
@@ -136,20 +119,18 @@ func (p *Partial) WriteSnapshot(w io.Writer) error {
 // PartialFromSnapshot rebuilds a segment from a decoded snapshot
 // accumulator plus its externally-recorded record-time bounds (the s1
 // format does not carry the bounds of error records; the daemon's
-// checkpoint frames do).
+// checkpoint frames do). A zero bound falls back to the journal's.
 func PartialFromSnapshot(acc *Accumulator, first, last time.Time) (*Partial, error) {
 	if !acc.opts.Journal {
 		return nil, errors.New("core: a segment accumulator must carry its journal")
 	}
 	p := &Partial{acc: acc, first: first, last: last}
 	if n := len(acc.journal); n > 0 {
-		p.firstOK = time.Unix(0, acc.journal[0].start).UTC()
-		p.lastOK = time.Unix(0, acc.journal[n-1].start).UTC()
 		if p.first.IsZero() {
-			p.first = p.firstOK
+			p.first = time.Unix(0, acc.journal[0].start).UTC()
 		}
 		if p.last.IsZero() {
-			p.last = p.lastOK
+			p.last = time.Unix(0, acc.journal[n-1].start).UTC()
 		}
 	}
 	return p, nil
@@ -159,202 +140,70 @@ func PartialFromSnapshot(acc *Accumulator, first, last time.Time) (*Partial, err
 // fresh Partial — the stream and b2 shard workers' unit of work.
 func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 	p := NewPartial(opts)
-	// Pre-size the periodicity series to the segment's last hour so the
-	// grow-by-append loop in addDerived allocates once per segment.
-	if len(recs) > 0 && !opts.Start.IsZero() {
-		if hi := int(recs[len(recs)-1].Start.Sub(opts.Start) / time.Hour); hi >= 0 {
-			p.acc.hourlyReqs = make([]float64, 0, hi+1)
-			p.acc.hourlyRead = make([]float64, 0, hi+1)
-		}
-	}
 	for i := range recs {
 		p.Observe(&recs[i])
 	}
 	return p
 }
 
-// Fold merges one segment into the master. Master and segment must share
-// a calendar origin — AccumulateStream and AccumulateB2 resolve
-// Options.Start once before cutting segments — so every derived series
-// folds by plain sums and sample concatenation; only the per-file
-// journal is replayed. Segments must fold in time order.
-func (a *Accumulator) Fold(p *Partial) {
-	sub := p.acc
-	a.total += sub.total
-	a.errors += sub.errors
-	if sub.days > a.days {
-		a.days = sub.days
-	}
-	for oi := 0; oi < 2; oi++ {
-		for ci := 0; ci < device.NClasses; ci++ {
-			a.refs[oi][ci] += sub.refs[oi][ci]
-			a.bytes[oi][ci] += sub.bytes[oi][ci]
-			a.latency[oi][ci].n += sub.latency[oi][ci].n
-			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-		}
-		a.dynFiles[oi].Merge(sub.dynFiles[oi])
-		a.dynBytes[oi].Merge(sub.dynBytes[oi])
-	}
-	a.foldLatCDF(sub)
-	for h := range a.hourBytes {
-		a.hourBytes[h][0] += sub.hourBytes[h][0]
-		a.hourBytes[h][1] += sub.hourBytes[h][1]
-		a.hourCount[h][0] += sub.hourCount[h][0]
-		a.hourCount[h][1] += sub.hourCount[h][1]
-	}
-	for d := range a.dayBytes {
-		a.dayBytes[d][0] += sub.dayBytes[d][0]
-		a.dayBytes[d][1] += sub.dayBytes[d][1]
-	}
-	weeks := make([]int, 0, len(sub.weekBytes))
-	for w := range sub.weekBytes {
-		weeks = append(weeks, w)
-	}
-	sort.Ints(weeks)
-	for _, w := range weeks {
-		b := sub.weekBytes[w]
-		wb := a.weekBytes[w]
-		wb[0] += b[0]
-		wb[1] += b[1]
-		a.weekBytes[w] = wb
-	}
-	for len(a.hourlyReqs) < len(sub.hourlyReqs) {
-		a.hourlyReqs = append(a.hourlyReqs, 0)
-		a.hourlyRead = append(a.hourlyRead, 0)
-	}
-	for i, v := range sub.hourlyReqs {
-		//lint:floatsum-ok index-aligned sums of integer-valued counts, merged in fixed segment order and exact below 2^53
-		a.hourlyReqs[i] += v
-		a.hourlyRead[i] += sub.hourlyRead[i] //lint:floatsum-ok same integer-valued hourly counter as the line above
-	}
-
-	// Figure 7: the boundary interval precedes the segment's internal
-	// intervals, matching global record order.
-	if !p.firstOK.IsZero() {
-		a.addInterval(p.firstOK)
-		a.interCDF.Merge(sub.interCDF)
-		a.lastStart = p.lastOK
-	}
-
-	remap := a.remapIDs(sub)
-	for k := range sub.journal {
-		e := &sub.journal[k]
-		op := trace.Read
-		if e.write {
-			op = trace.Write
-		}
-		a.addFileAccessID(remap[e.id], op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
-	}
-}
-
-// FoldReplay merges one segment into the master without a shared
-// calendar origin: the op×class accumulators and startup-latency CDFs —
-// which need the device class the journal does not carry — fold by
-// addition, and every derived series (calendar, periodicity, Figure 7
-// intervals, Figure 10, per-file state) is recomputed by replaying the
-// journal through the per-record transitions the slice path runs. This
-// is the split the s1 snapshot merge uses, and the fold the daemon's
-// report and checkpoint paths take. Segments must fold in time order;
-// an overlap with already-folded data is an error, as is a dedup-window
-// disagreement.
-func (a *Accumulator) FoldReplay(p *Partial) error {
-	sub := p.acc
-	if sub.opts.DedupWindow != a.opts.DedupWindow {
-		return fmt.Errorf("segment dedup window %v disagrees with the master's %v",
-			sub.opts.DedupWindow, a.opts.DedupWindow)
-	}
-	if len(sub.journal) > 0 {
-		t0 := time.Unix(0, sub.journal[0].start).UTC()
-		if !a.lastStart.IsZero() && t0.Before(a.lastStart) {
-			return fmt.Errorf("segment starts at %v, before already-merged data ending %v (segments must fold in trace order)",
-				t0, a.lastStart)
-		}
-	}
-	if a.start.IsZero() {
-		if !a.opts.Start.IsZero() {
-			a.start = a.opts.Start
-		} else {
-			a.start = sub.start
-		}
-	}
-	if len(sub.journal) > 0 && a.start.IsZero() {
-		return errors.New("journal entries present but no segment so far has a start time")
-	}
-
-	a.total += sub.total
-	a.errors += sub.errors
-	for oi := 0; oi < 2; oi++ {
-		for ci := 0; ci < device.NClasses; ci++ {
-			a.refs[oi][ci] += sub.refs[oi][ci]
-			a.bytes[oi][ci] += sub.bytes[oi][ci]
-			a.latency[oi][ci].n += sub.latency[oi][ci].n
-			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-		}
-	}
-	a.foldLatCDF(sub)
-
-	remap := a.remapIDs(sub)
-	for k := range sub.journal {
-		e := &sub.journal[k]
-		opIdx, op := 0, trace.Read
-		if e.write {
-			opIdx, op = 1, trace.Write
-		}
-		t := time.Unix(0, e.start).UTC()
-		a.addDerived(t, opIdx, e.size)
-		a.addInterval(t)
-		a.addFileAccessID(remap[e.id], op, t, units.Bytes(e.size))
-	}
-	return nil
-}
-
-// FoldPartials merges any number of segments into a fresh master: the
-// position-independent state — record and error counts, the op×class
-// accumulators, the startup-latency CDFs — folds by addition in any
-// order, and the segments' journals are then merged into one global
-// time order and replayed through the per-record transitions the slice
-// path runs. Unlike Fold and FoldReplay, the segments' record-time
-// ranges may interleave arbitrarily — a live daemon's batches arrive
-// from concurrent clients in no particular order, and a late single
-// event may split an already-extended segment's range — provided the
-// records themselves are distinct instants; ties across segments replay
-// in the given segment order. Master file IDs are assigned in replay
-// order, exactly as a single process reading the merged trace would.
+// FoldPartials merges any number of segments into the master, fresh or
+// already folded into. The summed state — record and error counts, the
+// op×class accumulators, the startup-latency CDFs — folds by addition in
+// any order; the segments' journals are then merged into one global
+// time order and replayed through addRef, the per-record transitions
+// the slice path runs. The segments' record-time ranges may interleave
+// arbitrarily — a live daemon's batches arrive from concurrent clients
+// in no particular order, and a late single event may split an
+// already-extended segment's range — provided the records themselves
+// are distinct instants; ties across segments replay in the given
+// segment order. Master file IDs are assigned in replay order, exactly
+// as a single process reading the merged trace would.
+//
+// An unanchored master takes its calendar origin from Options.Start,
+// else from the origin of the earliest segment that has one — which that
+// segment resolved from its first record, errors included, so a segment
+// holding only error records still anchors the calendar. Every segment
+// must share the master's dedup window, and the merged replay must not
+// start before the last reference already folded (segments fold in
+// trace order across calls). On any error the master is untouched.
 func (a *Accumulator) FoldPartials(ps []*Partial) error {
-	if a.total != 0 {
-		return errors.New("core: FoldPartials merges into a fresh accumulator")
-	}
 	entries := 0
+	from := int64(math.MaxInt64) // the merged replay's first instant
 	for i, p := range ps {
 		sub := p.acc
 		if sub.opts.DedupWindow != a.opts.DedupWindow {
-			return fmt.Errorf("core: segment %d dedup window %v disagrees with the master's %v",
+			return fmt.Errorf("segment %d dedup window %v disagrees with the master's %v",
 				i, sub.opts.DedupWindow, a.opts.DedupWindow)
 		}
-		entries += len(sub.journal)
+		if n := len(sub.journal); n > 0 {
+			entries += n
+			from = min(from, sub.journal[0].start)
+		}
 	}
-
-	// Anchor the calendar origin the way the slice path does: from the
-	// explicit option, else from the earliest segment's own anchor —
-	// which that segment resolved from its first record, errors
-	// included.
-	if !a.opts.Start.IsZero() {
-		a.start = a.opts.Start
-	} else {
-		var first time.Time
+	if entries > 0 && !a.lastStart.IsZero() && from < a.lastStart.UnixNano() {
+		return fmt.Errorf("segments start at %v, before already-folded data ending %v (segments must fold in trace order)",
+			time.Unix(0, from).UTC(), a.lastStart)
+	}
+	start := a.start
+	if start.IsZero() {
+		start = a.opts.Start
+	}
+	if start.IsZero() {
+		var key time.Time
 		for _, p := range ps {
-			if p.first.IsZero() {
-				continue
+			origin, k := p.acc.start, p.first
+			if k.IsZero() {
+				k = origin
 			}
-			if first.IsZero() || p.first.Before(first) {
-				first = p.first
-				a.start = p.acc.start
+			if !origin.IsZero() && (key.IsZero() || k.Before(key)) {
+				key, start = k, origin
 			}
 		}
 	}
-	if entries > 0 && a.start.IsZero() {
-		return errors.New("core: journal entries present but no segment has a start time")
+	if entries > 0 && start.IsZero() {
+		return errors.New("journal entries present but no segment has a start time")
 	}
+	a.start = start
 
 	for _, p := range ps {
 		sub := p.acc
@@ -368,7 +217,15 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 				a.latency[oi][ci].micros += sub.latency[oi][ci].micros
 			}
 		}
-		a.foldLatCDF(sub)
+		for ci, c := range sub.latCDF {
+			if c == nil {
+				continue
+			}
+			if a.latCDF[ci] == nil {
+				a.latCDF[ci] = &stats.CDF{}
+			}
+			a.latCDF[ci].Merge(c)
+		}
 	}
 
 	// Merge-replay the journals. The heap orders by (start, segment
@@ -376,42 +233,32 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	// so only each segment's next entry competes. File IDs intern
 	// lazily, on first appearance in the merged order.
 	h := make(journalHeap, 0, len(ps))
+	remap := make([][]trace.FileID, len(ps))
+	seen := make([][]bool, len(ps))
 	for si, p := range ps {
 		if len(p.acc.journal) > 0 {
 			h = append(h, journalCursor{si: si, start: p.acc.journal[0].start})
 		}
-	}
-	heap.Init(&h)
-	remap := make([][]trace.FileID, len(ps))
-	seen := make([][]bool, len(ps))
-	for si, p := range ps {
 		remap[si] = make([]trace.FileID, p.acc.interner.Len())
 		seen[si] = make([]bool, p.acc.interner.Len())
 	}
+	heap.Init(&h)
 	for len(h) > 0 {
 		cur := &h[0]
 		sub := ps[cur.si].acc
 		e := &sub.journal[cur.k]
-		op := trace.Read
-		opIdx := 0
-		if e.write {
-			op, opIdx = trace.Write, 1
-		}
-		t := time.Unix(0, e.start).UTC()
-		id := remap[cur.si][e.id]
 		if !seen[cur.si][e.id] {
-			id = a.internFile(sub.interner.Path(e.id))
-			remap[cur.si][e.id] = id
+			remap[cur.si][e.id] = a.internFile(sub.interner.Path(e.id))
 			seen[cur.si][e.id] = true
 		}
-		a.addDerived(t, opIdx, e.size)
-		a.addInterval(t)
-		a.addFileAccessID(id, op, t, units.Bytes(e.size))
-		if cur.k++; cur.k < len(sub.journal) {
-			cur.start = sub.journal[cur.k].start
-			heap.Fix(&h, 0)
-		} else {
+		a.addRef(remap[cur.si][e.id], e.op(), time.Unix(0, e.start).UTC(), units.Bytes(e.size))
+		if cur.k++; cur.k == len(sub.journal) {
 			heap.Pop(&h)
+			continue
+		}
+		cur.start = sub.journal[cur.k].start
+		if len(h) > 1 {
+			heap.Fix(&h, 0)
 		}
 	}
 	return nil
@@ -437,31 +284,3 @@ func (h journalHeap) Less(i, j int) bool {
 func (h journalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *journalHeap) Push(x any)   { *h = append(*h, x.(journalCursor)) }
 func (h *journalHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// foldLatCDF folds the segment's Figure 3 latency CDFs into the master.
-func (a *Accumulator) foldLatCDF(sub *Accumulator) {
-	for ci, c := range sub.latCDF {
-		if c == nil {
-			continue
-		}
-		m := a.latCDF[ci]
-		if m == nil {
-			m = &stats.CDF{}
-			a.latCDF[ci] = m
-		}
-		m.Merge(c)
-	}
-}
-
-// remapIDs interns a segment's path table into the master in table
-// order, returning the segment→master FileID translation. Table order
-// is first-seen order within the segment, so folding segments in time
-// order keeps the master's ID assignment identical to a single-process
-// run over the concatenated records.
-func (a *Accumulator) remapIDs(sub *Accumulator) []trace.FileID {
-	remap := make([]trace.FileID, sub.interner.Len())
-	for i := range remap {
-		remap[i] = a.internFile(sub.interner.Path(trace.FileID(i)))
-	}
-	return remap
-}

@@ -59,11 +59,11 @@ type Options struct {
 // in time order with Add, then call Report. The incremental paths — the
 // stream and b2 shard mergers, the s1 snapshot codec, and the migd
 // daemon — use this same type under its Accumulator alias, cutting the
-// trace into Partial segments and folding them (see accum.go); to keep
-// all the paths byte-identical, every
-// accumulator below is either an exact integer sum, a sample list whose
-// queries are order-insensitive, or per-file state replayed in record
-// order at merge time.
+// trace into Partial segments and folding them (see accum.go). To keep
+// all the paths byte-identical, every accumulator below is either an
+// exact integer sum or an order-insensitive sample list that a fold
+// adds up (addShared), or is recomputed at fold time by replaying the
+// reference journal in record order (addRef).
 //
 // The per-record hot path is flat: the op×class accumulators are fixed
 // arrays indexed by (op index, device class), and per-file state lives in
@@ -130,6 +130,14 @@ type journalEntry struct {
 	write bool
 }
 
+// op reports the entry's transfer direction.
+func (e *journalEntry) op() trace.Op {
+	if e.write {
+		return trace.Write
+	}
+	return trace.Read
+}
+
 // opIndex collapses the two transfer directions onto array indices 0
 // (read) and 1 (write).
 func opIndex(op trace.Op) int {
@@ -192,20 +200,20 @@ func New(opts Options) *Analysis {
 
 // Add feeds one record. Records must arrive in non-decreasing start order.
 func (a *Analysis) Add(r *trace.Record) {
-	if !a.addShared(r) {
-		return
+	if a.addShared(r) {
+		a.addRef(a.internFile(r.MSSPath), r.Op, r.Start, r.Size)
 	}
-	a.addInterval(r.Start)
-	a.addFileAccess(r.MSSPath, r.Op, r.Start, r.Size)
 }
 
-// addShared accumulates the whole-system statistics (Tables 3, Figures
-// 3-6 and 10, the periodicity series). These merge across shards with
-// plain sums and sample-list concatenation, unlike the inter-request
-// intervals (addInterval) and per-file state (addFileAccess), which need
-// cross-shard context at merge time. It reports whether the record is a
-// good reference; error references are excluded from all further
-// analysis, as in the paper (§5.1).
+// addShared accumulates what a reference contributes that its journal
+// entry cannot reproduce: the record and error counts, the calendar
+// origin (resolved from the first record, errors included), and the
+// op×class accumulators and startup-latency CDFs of Table 3 and Figure
+// 3, which need the device class and startup latency the journal does
+// not carry. Everything else a good reference contributes goes through
+// addRef. It reports whether the record is a good reference; error
+// references are excluded from all further analysis, as in the paper
+// (§5.1).
 func (a *Analysis) addShared(r *trace.Record) bool {
 	a.total++
 	if a.start.IsZero() {
@@ -220,10 +228,7 @@ func (a *Analysis) addShared(r *trace.Record) bool {
 	}
 	opIdx, cls := opIndex(r.Op), classIndex(r.Device)
 
-	// Table 3. These cells — and Figure 3's latency CDFs below — need the
-	// device class (and startup latency), which the snapshot journal does
-	// not carry; snapshots serialize them directly instead of replaying
-	// them, so they stay out of addDerived.
+	// Table 3.
 	a.refs[opIdx][cls]++
 	a.bytes[opIdx][cls] += int64(r.Size)
 	if r.Startup > 0 {
@@ -239,34 +244,37 @@ func (a *Analysis) addShared(r *trace.Record) bool {
 		}
 		c.Add(r.Startup.Seconds())
 	}
-
-	a.addDerived(r.Start, opIdx, int64(r.Size))
 	return true
 }
 
-// addDerived accumulates the whole-system statistics a good reference
-// contributes beyond Table 3 and Figure 3: the calendar series (Figures
-// 4-6), the periodicity series, and the dynamic size distributions
-// (Figure 10). Everything here is a function of (start, op, size) alone,
-// which is why snapshot loading can recompute it by replaying the
-// journal through this same method; a.start must be resolved first.
-func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
-	day := int(start.Sub(a.start) / (24 * time.Hour))
+// addRef accumulates everything a good reference contributes that is a
+// function of (file, op, start, size) alone: the calendar series
+// (Figures 4-6), the periodicity series, Figure 7's inter-request
+// interval, the dynamic size distributions (Figure 10) and the file's
+// part-two state. Add runs it per record and FoldPartials per replayed
+// journal entry, which is why every fold reproduces the slice path
+// exactly; a.start must be resolved first and references must arrive in
+// record order.
+func (a *Analysis) addRef(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
+	opIdx := opIndex(op)
+	off := start.Sub(a.start)
+	day := int(off / (24 * time.Hour))
 	if day+1 > a.days {
 		a.days = day + 1
 	}
 
 	// Figures 4-6.
-	a.hourBytes[start.Hour()][opIdx] += size
-	a.hourCount[start.Hour()][opIdx]++
-	a.dayBytes[int(start.Weekday())][opIdx] += size
+	hour := start.Hour()
+	a.hourBytes[hour][opIdx] += int64(size)
+	a.hourCount[hour][opIdx]++
+	a.dayBytes[int(start.Weekday())][opIdx] += int64(size)
 	week := day / 7
 	wb := a.weekBytes[week]
-	wb[opIdx] += size
+	wb[opIdx] += int64(size)
 	a.weekBytes[week] = wb
 
 	// Periodicity series.
-	hourIdx := int(start.Sub(a.start) / time.Hour)
+	hourIdx := int(off / time.Hour)
 	if hourIdx >= 0 {
 		for len(a.hourlyReqs) <= hourIdx {
 			a.hourlyReqs = append(a.hourlyReqs, 0)
@@ -279,28 +287,18 @@ func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
 		}
 	}
 
-	// Figure 10 (dynamic sizes): every access counts.
-	a.dynFiles[opIdx].Add(float64(size))
-	a.dynBytes[opIdx].Add(float64(size), float64(size))
-}
-
-// addInterval feeds Figure 7: the interval from the previous good
-// reference anywhere in the trace to this one.
-func (a *Analysis) addInterval(start time.Time) {
+	// Figure 7: the interval from the previous good reference anywhere
+	// in the trace.
 	if !a.lastStart.IsZero() {
 		a.interCDF.Add(start.Sub(a.lastStart).Seconds())
 	}
 	a.lastStart = start
-}
 
-// addFileAccess advances one file's part-two state (reference counts,
-// interreference gaps) under the §5.3 dedup rule. Dedup depends only on
-// the file's own access history in time order, which is what lets the
-// shard merge replay each shard's accesses through this same method. The
-// file is resolved through the interner: a known path costs one map
-// probe, a new one extends the arena by a single inline slot.
-func (a *Analysis) addFileAccess(path string, op trace.Op, start time.Time, size units.Bytes) {
-	a.addFileAccessID(a.internFile(path), op, start, size)
+	// Figure 10 (dynamic sizes): every access counts.
+	a.dynFiles[opIdx].Add(float64(size))
+	a.dynBytes[opIdx].Add(float64(size), float64(size))
+
+	a.addFileAccessID(id, op, start, size)
 }
 
 // internFile resolves a path to its dense FileID, extending the
@@ -313,10 +311,12 @@ func (a *Analysis) internFile(path string) trace.FileID {
 	return id
 }
 
-// addFileAccessID is addFileAccess below the interner: the dedup state
-// transition for an already-resolved FileID. Snapshot merging replays
-// decoded journals through it directly, and — when the journal is
-// enabled — it is also the single capture point feeding that journal.
+// addFileAccessID advances one file's part-two state (reference counts,
+// interreference gaps) under the §5.3 dedup rule. Dedup depends only on
+// the file's own access history in time order, which is what lets a
+// fold replay each segment's journal through this same transition. When
+// the journal is enabled it is also the single capture point feeding
+// that journal.
 //
 //filemig:hotpath
 func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
@@ -350,10 +350,10 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time
 }
 
 // appendJournal records one good reference in the snapshot/replay
-// journal without advancing per-file dedup state — the capture half of
+// journal without running addRef — the capture half of
 // addFileAccessID. Segment accumulators (Partial) call it directly:
-// their per-file truth is replayed into a master at fold time, so
-// running the dedup transition locally would be wasted work.
+// everything addRef computes is replayed into a master at fold time, so
+// computing it locally would be wasted work.
 //
 //filemig:hotpath
 func (a *Analysis) appendJournal(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {

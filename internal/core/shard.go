@@ -13,25 +13,21 @@ import (
 // The sharded streaming analysis path. AnalyzeStream consumes a
 // trace.Stream instead of a []trace.Record: records are cut into
 // time-partitioned shards, each shard is accumulated by an independent
-// worker, and the per-shard partials are merged in shard order. Peak
-// memory holds only the shards currently in flight (bounded by the
-// worker count), never the whole trace. The merge is constructed to be
-// byte-identical to the slice path (New + AddAll + Report):
+// worker into a Partial, and the shards fold into the master in shard
+// order through the ordered shard pool below — the one pool the b2 path
+// shares. Peak memory holds only the shards currently in flight
+// (bounded by the worker count), never the whole trace. The merge is
+// byte-identical to the slice path (New + AddAll + Report) because
+// FoldPartials (see accum.go):
 //
-//   - counts and byte totals are integer sums, which are associative;
-//   - distribution samples are concatenated in shard order, so every
-//     sample list ends up in exactly the record order the slice path
-//     would have produced it in;
-//   - Figure 7's boundary intervals (last record of shard k to first
-//     record of shard k+1) are inserted between the shard-internal
-//     interval lists during the merge;
-//   - per-file dedup state, which depends only on each file's own access
-//     history, is advanced by replaying every shard's reference journal
-//     through the same addFileAccessID the slice path uses.
-//
-// Shards are core.Partial segments folded with Accumulator.Fold (see
-// accum.go) — the same segment type the b2, snapshot, and daemon paths
-// are built on.
+//   - adds up only the counts, op×class sums and latency CDFs a shard
+//     accumulates itself, which are integer sums or order-insensitive
+//     sample lists;
+//   - recomputes everything else — the calendar and periodicity series,
+//     Figure 7's intervals across shard boundaries, Figure 10 and the
+//     per-file dedup state — by replaying each shard's reference
+//     journal, in shard order, through the same addRef the slice path
+//     runs per record.
 //
 // TestStreamEquivalence pins all of this down by comparing rendered
 // output from both paths.
@@ -83,11 +79,6 @@ func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream)
 	if opts.ShardDuration <= 0 {
 		opts.ShardDuration = DefaultShardDuration
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
 	first, err := src.Next()
 	if err == io.EOF {
 		return New(opts.Options), nil
@@ -96,19 +87,29 @@ func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream)
 		return nil, err
 	}
 	// Resolve the calendar origin exactly as Analysis.addShared would, so
-	// every shard computes the same day/hour indices.
-	origin := opts.Start
-	if origin.IsZero() {
-		origin = first.Start.Truncate(24 * time.Hour)
+	// every shard computes the same shard indices.
+	if opts.Start.IsZero() {
+		opts.Start = first.Start.Truncate(24 * time.Hour)
 	}
-	opts.Start = origin
 	master := New(opts.Options)
-	master.start = origin
-
-	if workers == 1 {
-		return analyzeSerial(ctx, opts, master, first, src)
+	done := false
+	cut := func() ([]trace.Record, bool, error) {
+		if done {
+			return nil, false, nil
+		}
+		batch, next, last, err := nextShard(opts, first, src)
+		first, done = next, last
+		return batch, err == nil, err
 	}
-	return analyzeParallel(ctx, opts, master, first, src, workers)
+	accumulate := func() func([]trace.Record) (*Partial, error) {
+		return func(batch []trace.Record) (*Partial, error) {
+			return AccumulatePartial(opts.Options, batch), nil
+		}
+	}
+	if err := foldShards(ctx, master, opts.Workers, cut, accumulate); err != nil {
+		return nil, err
+	}
+	return master, nil
 }
 
 // shardIndex places a record in its time partition.
@@ -149,100 +150,109 @@ func nextShard(opts StreamOptions, first trace.Record, src trace.Stream) (
 	}
 }
 
-// analyzeSerial is the workers == 1 path: accumulate and merge one shard
-// at a time on the calling goroutine.
-func analyzeSerial(ctx context.Context, opts StreamOptions, master *Analysis, first trace.Record, src trace.Stream) (*Analysis, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// foldShards is core's one ordered shard pool. cut hands out jobs in
+// trace order on the calling goroutine; each worker builds its own job
+// runner with newWorker (private state such as a b2 block decoder lives
+// in the closure) and turns jobs into Partials, which fold into master
+// in job order. At workers <= 1 everything runs inline on the calling
+// goroutine. Otherwise a folder goroutine folds while the caller keeps
+// cutting — the cut (often a stream decode) and the fold are the two
+// serial stages — and at most workers jobs wait unfolded. The error
+// returned is the lowest-index one — a job's cut, run or fold error, in
+// job order — or ctx's error when the context is cancelled before the
+// next cut; in-flight jobs then finish, and no new job is cut. Neither
+// the result nor the error depends on the worker count.
+func foldShards[J any](ctx context.Context, master *Analysis, workers int,
+	cut func() (job J, ok bool, err error), newWorker func() func(J) (*Partial, error)) error {
+	fold := func(p *Partial, err error) error {
+		if err == nil {
+			if err = master.FoldPartials([]*Partial{p}); err != nil {
+				err = fmt.Errorf("core: %w", err)
+			}
 		}
-		batch, next, done, err := nextShard(opts, first, src)
-		if err != nil {
-			return nil, err
-		}
-		master.Fold(AccumulatePartial(opts.Options, batch))
-		if done {
-			return master, nil
-		}
-		first = next
+		return err
 	}
-}
+	if workers <= 1 {
+		run := newWorker()
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			job, ok, err := cut()
+			if !ok {
+				return err
+			}
+			if err := fold(run(job)); err != nil {
+				return err
+			}
+		}
+	}
 
-// analyzeParallel fans shards over a worker pool and merges results in
-// shard order. In-flight shards are bounded by the pool size: a semaphore
-// token is held from the moment a shard is cut until it has been merged.
-// Cancellation is checked between shard cuts: in-flight shards finish
-// and merge, no new shard is read, and ctx's error is returned.
-func analyzeParallel(ctx context.Context, opts StreamOptions, master *Analysis, first trace.Record, src trace.Stream, workers int) (*Analysis, error) {
-	type job struct {
-		idx   int
-		batch []trace.Record
-	}
 	type result struct {
-		idx int
-		sh  *Partial
+		p   *Partial
+		err error
 	}
-	jobs := make(chan job)
-	results := make(chan result)
-	sem := make(chan struct{}, workers+1)
-
+	type task struct {
+		job J
+		out chan result
+	}
+	tasks := make(chan task)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				results <- result{idx: j.idx, sh: AccumulatePartial(opts.Options, j.batch)}
+			run := newWorker()
+			for t := range tasks {
+				p, err := run(t.job)
+				t.out <- result{p, err}
 			}
 		}()
 	}
+	// The folder takes result slots in job order; the slot channel's
+	// capacity bounds the jobs waiting unfolded. failed closes on the
+	// first error, so the caller stops cutting.
+	slots := make(chan chan result, workers)
+	failed := make(chan struct{})
+	folded := make(chan error, 1)
 	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Merger: fold results in shard order, buffering out-of-order
-	// arrivals (at most the pool size).
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		pending := map[int]*Partial{}
-		next := 0
-		for res := range results {
-			pending[res.idx] = res.sh
-			for sh, ok := pending[next]; ok; sh, ok = pending[next] {
-				delete(pending, next)
-				master.Fold(sh)
-				next++
-				<-sem
+		var err error
+		for out := range slots {
+			r := <-out
+			if err == nil {
+				if err = fold(r.p, r.err); err != nil {
+					close(failed)
+				}
 			}
 		}
+		folded <- err
 	}()
 
-	var readErr error
-	idx := 0
+	var stop error // the cut or ctx error, ranking after every job already cut
+cutting:
 	for {
-		if err := ctx.Err(); err != nil {
-			readErr = err
+		select {
+		case <-failed:
+			break cutting
+		default:
+		}
+		if stop = ctx.Err(); stop != nil {
 			break
 		}
-		batch, next, done, err := nextShard(opts, first, src)
-		if err != nil {
-			readErr = err
+		job, ok, err := cut()
+		if stop = err; !ok {
 			break
 		}
-		sem <- struct{}{}
-		jobs <- job{idx: idx, batch: batch}
-		idx++
-		if done {
-			break
-		}
-		first = next
+		out := make(chan result, 1)
+		slots <- out
+		tasks <- task{job, out}
 	}
-	close(jobs)
-	<-mergeDone
-	if readErr != nil {
-		return nil, readErr
+	close(tasks)
+	close(slots)
+	err := <-folded
+	wg.Wait()
+	if err == nil {
+		err = stop
 	}
-	return master, nil
+	return err
 }

@@ -214,9 +214,8 @@ func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
 }
 
 // mergeSnapshot decodes one snapshot from r into a Partial and folds
-// it into m through FoldReplay — the same origin-free fold the daemon's
-// segments take. The master is untouched on any decode or validation
-// error.
+// it into m through FoldPartials — the same fold every other path
+// takes. The master is untouched on any decode or validation error.
 func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
 	p, err := decodeSnapshot(r)
 	if err != nil {
@@ -228,14 +227,14 @@ func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
 		return fmt.Errorf("dedup window %v disagrees with first snapshot's %v",
 			p.acc.opts.DedupWindow, m.opts.DedupWindow)
 	}
-	return m.FoldReplay(p)
+	return m.FoldPartials([]*Partial{p})
 }
 
 // decodeSnapshot decodes one s1 snapshot into a segment Partial,
 // validating structure and cross-checking the serialized sums against
 // the journal as it goes. Nothing is replayed here: the returned
 // segment holds the raw accumulators and the absolute-time journal, and
-// FoldReplay recomputes everything derivable when the segment folds
+// FoldPartials recomputes everything derivable when the segment folds
 // into a master.
 func decodeSnapshot(r io.Reader) (*Partial, error) {
 	wr := trace.NewWireReader(r)
@@ -342,7 +341,7 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 	}
 
 	// The interner table, in first-seen order, becomes the segment's own
-	// table; FoldReplay re-interns it into the master in this same order.
+	// table; FoldPartials re-interns it into the master in this same order.
 	nPaths, err := wr.Uvarint("path count", 1<<32)
 	if err != nil {
 		return nil, err

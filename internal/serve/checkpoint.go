@@ -91,7 +91,10 @@ func (s *Server) maybeCheckpoint(n int64) {
 // into an empty server, rebuilding every segment (via the s1 snapshot
 // codec) and the live per-file table. The restored daemon's report is
 // byte-identical to the pre-restart daemon's, and ingest continues from
-// where the checkpoint was cut.
+// where the checkpoint was cut. A checkpoint whose segments were cut
+// under a different dedup window than the server's is rejected whole,
+// before any state is touched: its segments could never fold into this
+// server's reports.
 func (s *Server) RestoreCheckpoint(data []byte) error {
 	if s.records.Load() != 0 {
 		return errors.New("serve: restore into a non-empty server")
@@ -100,6 +103,7 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		return errors.New("serve: not a migd checkpoint (bad header)")
 	}
 	rest := data[len(CheckpointHeader):]
+	window := core.NewPartial(s.cfg.Opts).DedupWindow() // the window this server's own segments carry
 	var segs []*segment
 	for i := 0; len(rest) > 0; i++ {
 		payload, r, err := dist.NextFrame(rest)
@@ -109,6 +113,9 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		sg, err := decodeSegment(payload)
 		if err != nil {
 			return fmt.Errorf("serve: restore segment %d: %w", i, err)
+		}
+		if w := sg.p.DedupWindow(); w != window {
+			return fmt.Errorf("serve: restore segment %d: dedup window %v disagrees with the server's %v", i, w, window)
 		}
 		// Cache the frame exactly as read: an untouched restored segment
 		// re-checkpoints byte-identically without re-serializing.

@@ -7,10 +7,12 @@
 //   - POST /v1/ingest and /v1/ingest/batch decode a trace-stream body
 //     (the batch variant wrapped in the internal/dist CRC frame),
 //     validate it fully, and only then observe it into segment state;
-//   - GET /v1/report merges every segment's journal back into global
-//     time order inside a fresh accumulator (Accumulator.FoldPartials)
-//     and renders the full op×class report — byte-identical to the
-//     offline slice path over the same records;
+//   - GET /v1/report folds every segment into a fresh accumulator with
+//     core's one fold, Accumulator.FoldPartials — the fold the offline
+//     stream, b2 and snapshot paths take too, here merging all the
+//     segments' journals back into global time order in one call — and
+//     renders the full op×class report, byte-identical to the offline
+//     slice path over the same records;
 //   - GET /v1/file/{path} answers migrate/keep/prefetch for one file
 //     from the live per-file table and the STP rank of internal/migration;
 //   - POST /v1/checkpoint (and the record-count cadence in
@@ -251,9 +253,13 @@ func (s *Server) orderedSegments() []*segment {
 	return segs
 }
 
-// Accumulate folds every segment, in trace order, into a fresh master
-// accumulator — the exact state the offline slice path would hold after
-// analyzing the concatenated records.
+// Accumulate folds every segment into a fresh master accumulator in one
+// FoldPartials call, which replays the segments' journals in global
+// record order however their time ranges interleave — the exact state
+// the offline slice path would hold after analyzing the concatenated
+// records. Segments are passed sorted by first instant, then creation
+// order, which fixes the replay order of records sharing an instant
+// across segments.
 func (s *Server) Accumulate() (*core.Accumulator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
