@@ -215,10 +215,9 @@ func BenchmarkStreamAnalyze(b *testing.B) {
 	})
 }
 
-// BenchmarkB2Decode measures the b2 columnar codec next to
-// BenchmarkTraceCodecBinary: the same records through the sequential
-// whole-block reader and through the seekable index + parallel block
-// decoder.
+// BenchmarkB2Decode measures the b2 columnar codec's sequential
+// whole-block reader next to BenchmarkTraceCodecBinary over the same
+// records.
 func BenchmarkB2Decode(b *testing.B) {
 	p, _ := fixture(b)
 	n := len(p.Records)
@@ -241,21 +240,6 @@ func BenchmarkB2Decode(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(encoded))/float64(n), "bytes/rec")
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
-	})
-	b.Run("parallel-workers=4", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(encoded)))
-		for i := 0; i < b.N; i++ {
-			f, err := trace.OpenB2File(bytes.NewReader(encoded), int64(len(encoded)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, err := trace.Collect(f.Stream(4))
-			if err != nil || len(got) != n {
-				b.Fatalf("decode: %v (%d records)", err, len(got))
-			}
-		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
 	})
 }
@@ -343,14 +327,12 @@ func maxShardWindow(recs []trace.Record, shard time.Duration, n int) int {
 }
 
 // BenchmarkSnapshotRoundTrip measures the s1 snapshot codec on the
-// fixture workload: serializing a journaled analysis, and merging two
-// snapshot halves back into one analysis (decode + journal replay).
+// fixture workload: serializing a segment, and merging two snapshot
+// halves back into one analysis (decode + journal replay).
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	p, _ := fixture(b)
-	journaled := func(recs []trace.Record) *core.Analysis {
-		a := core.New(core.Options{Journal: true})
-		a.AddAll(recs)
-		return a
+	journaled := func(recs []trace.Record) *core.Partial {
+		return core.AccumulatePartial(core.Options{}, recs)
 	}
 	b.Run("save", func(b *testing.B) {
 		b.ReportAllocs()

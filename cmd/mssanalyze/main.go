@@ -118,15 +118,23 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	if *snapshot != "" && (*all || len(ids) > 0) {
+		log.Fatal("-snapshot replaces the report; drop -all/-id")
+	}
 	if *distributed {
-		a := runDistributed(ctx, *in, *format, *listen, *journal, *lease,
+		b := runDistributed(ctx, *in, *format, *listen, *journal, *lease,
 			time.Duration(*shardDays)*24*time.Hour)
 		if *snapshot != "" {
-			if *all || len(ids) > 0 {
-				log.Fatal("-snapshot replaces the report; drop -all/-id")
+			p, err := b.Partial()
+			if err != nil {
+				log.Fatal(err)
 			}
-			emitSnapshot(a, *snapshot)
+			emitSnapshot(p, *snapshot)
 			return
+		}
+		a, err := b.Analysis()
+		if err != nil {
+			log.Fatal(err)
 		}
 		renderExperiments(&filemig.Pipeline{Report: a.Report()}, ids, *all, true)
 		return
@@ -135,10 +143,7 @@ func main() {
 		if *in == "" {
 			log.Fatal("-snapshot needs a trace input (-i); snapshots of generated workloads carry no namespace tree")
 		}
-		if *all || len(ids) > 0 {
-			log.Fatal("-snapshot replaces the report; drop -all/-id")
-		}
-		writeSnapshot(ctx, *in, *format, *snapshot, *stream, *workers, *shardDays)
+		writeSnapshot(*in, *format, *snapshot)
 		return
 	}
 
@@ -296,65 +301,34 @@ func openB2Indexed(in, format string) (*trace.B2File, *os.File) {
 	return bf, f
 }
 
-// writeSnapshot analyses the trace input with the journal enabled and
-// serializes the analysis as an s1 snapshot — the map step of a
-// distributed run. A named b2 input under -stream takes the index-seek
-// parallel path; the snapshot bytes are identical either way.
-func writeSnapshot(ctx context.Context, in, format, out string, stream bool, workers, shardDays int) {
-	opts := core.Options{DedupWindow: workload.DedupWindow, Journal: true}
-	shardDur := time.Duration(shardDays) * 24 * time.Hour
-	var a *core.Analysis
-	var err error
-	var bf *trace.B2File
-	if stream {
-		var bfile *os.File
-		if bf, bfile = openB2Indexed(in, format); bf != nil {
-			defer bfile.Close()
-			a, err = core.AccumulateB2(ctx, core.B2Options{StreamOptions: core.StreamOptions{
-				Options:       opts,
-				Workers:       workers,
-				ShardDuration: shardDur,
-			}}, bf)
-		}
-	}
-	if bf == nil {
-		f := os.Stdin
-		if in != "-" {
-			f, err = os.Open(in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-		}
-		var src trace.Stream
-		src, err = trace.OpenStreamFlag(f, format)
-		if err != nil {
+// writeSnapshot observes the trace input into one segment and
+// serializes it as an s1 snapshot — the map step of a distributed run.
+// Every input codec takes the same sequential path: observing computes
+// nothing the snapshot does not carry, so -stream and -workers change
+// nothing here, and the snapshot bytes are identical either way.
+func writeSnapshot(in, format, out string) {
+	f := os.Stdin
+	if in != "-" {
+		var err error
+		if f, err = os.Open(in); err != nil {
 			log.Fatal(err)
 		}
-		if stream {
-			a, err = core.AccumulateStream(ctx, core.StreamOptions{
-				Options:       opts,
-				Workers:       workers,
-				ShardDuration: shardDur,
-			}, src)
-		} else {
-			var recs []trace.Record
-			recs, err = trace.Collect(src)
-			if err == nil {
-				a = core.New(opts)
-				a.AddAll(recs)
-			}
-		}
+		defer f.Close()
 	}
+	src, err := trace.OpenStreamFlag(f, format)
 	if err != nil {
 		log.Fatal(err)
 	}
-	emitSnapshot(a, out)
+	p, err := core.ObserveStream(core.Options{DedupWindow: workload.DedupWindow}, src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	emitSnapshot(p, out)
 }
 
-// emitSnapshot serializes an analysis as an s1 snapshot to the named
+// emitSnapshot serializes a segment as an s1 snapshot to the named
 // file ('-' for stdout).
-func emitSnapshot(a *core.Analysis, out string) {
+func emitSnapshot(p *core.Partial, out string) {
 	w := os.Stdout
 	if out != "-" {
 		var err error
@@ -363,7 +337,7 @@ func emitSnapshot(a *core.Analysis, out string) {
 			log.Fatal(err)
 		}
 	}
-	if err := a.WriteSnapshot(w); err != nil {
+	if err := p.WriteSnapshot(w); err != nil {
 		log.Fatal(err)
 	}
 	if out != "-" {
@@ -374,9 +348,10 @@ func emitSnapshot(a *core.Analysis, out string) {
 }
 
 // runDistributed serves a b2 input's block-index shards to mssanalyze
-// worker processes and returns the merged analysis. An interrupt drains
-// gracefully; with a journal the run is resumable.
-func runDistributed(ctx context.Context, in, format, listen, journal string, lease, shard time.Duration) *core.Analysis {
+// worker processes and returns the finished coordinator, which holds the
+// merged result. An interrupt drains gracefully; with a journal the run
+// is resumable.
+func runDistributed(ctx context.Context, in, format, listen, journal string, lease, shard time.Duration) *dist.B2ShardCoordinator {
 	if in == "" || in == "-" {
 		log.Fatal("-distributed needs a named trace file (-i); workers open the same path")
 	}
@@ -419,11 +394,7 @@ func runDistributed(ctx context.Context, in, format, listen, journal string, lea
 		}
 		log.Fatal(err)
 	}
-	a, err := b.Analysis()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return a
+	return b
 }
 
 // runWorker joins a coordinator and executes shard tasks until the run
@@ -471,7 +442,7 @@ func runMerge(args []string) {
 	if len(files) == 0 {
 		log.Fatalf("no .s1 snapshots match %s", strings.Join(fs.Args(), " "))
 	}
-	m := core.NewSnapshotMerger()
+	var m core.SnapshotMerger
 	for _, name := range files {
 		f, err := os.Open(name)
 		if err != nil {

@@ -231,28 +231,26 @@ func AnalyzeTraceFileContext(ctx context.Context, path string, workers int, shar
 	return core.AnalyzeStream(ctx, opts, s)
 }
 
-// SaveSnapshot analyses one encoded trace (ASCII v1, binary b1, or
-// columnar b2, auto-detected) and writes the analysis state to dst as
-// an s1 snapshot
-// — the map step of a distributed analysis. Snapshots of trace slices
-// made anywhere, by any worker, merge through MergeSnapshots into a
-// report byte-identical to analysing the concatenated trace in one
-// process; slices need not align with the eight-hour dedup window and
-// workers need not agree on a calendar origin. The analysis runs on the
-// sharded streaming path, so memory stays proportional to a shard plus
-// the journal, not the trace. See docs/snapshots.md for the format.
+// SaveSnapshot observes one encoded trace (ASCII v1, binary b1, or
+// columnar b2, auto-detected) into a segment and writes it to dst as an
+// s1 snapshot — the map step of a distributed analysis. Snapshots of
+// trace slices made anywhere, by any worker, merge through
+// MergeSnapshots into a report byte-identical to analysing the
+// concatenated trace in one process; slices need not align with the
+// eight-hour dedup window and workers need not agree on a calendar
+// origin. Nothing but the snapshot's own contents is computed: memory
+// holds the segment's journal (~24 bytes per good reference), never the
+// decoded records. See docs/snapshots.md for the format.
 func SaveSnapshot(dst io.Writer, src io.Reader) error {
 	s, err := trace.OpenStream(src)
 	if err != nil {
 		return err
 	}
-	a, err := core.AccumulateStream(context.Background(), core.StreamOptions{
-		Options: core.Options{DedupWindow: workload.DedupWindow, Journal: true},
-	}, s)
+	p, err := core.ObserveStream(core.Options{DedupWindow: workload.DedupWindow}, s)
 	if err != nil {
 		return err
 	}
-	return a.WriteSnapshot(dst)
+	return p.WriteSnapshot(dst)
 }
 
 // MergeSnapshots loads s1 snapshots — in trace time order, one per

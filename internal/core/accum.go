@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,14 +14,15 @@ import (
 )
 
 // The one online accumulator behind every analysis path, and its one
-// fold. The slice path feeds an Accumulator directly (New + Add). Every
+// fold. The slice path feeds an Analysis directly (New + Add). Every
 // other path cuts the trace into segments, accumulates each into a
 // Partial, and merges them with FoldPartials: the stream and b2 paths
 // fold their shards one at a time in time order through the ordered
-// shard pool (shard.go); the s1 snapshot codec decodes each snapshot
-// into a Partial and folds it the same way; and the migd daemon
-// (internal/serve) keeps live Partials per ingest segment and folds them
-// all at once on demand.
+// shard pool (shard.go); the s1 snapshot codec writes and reads exactly
+// one Partial (snapshot.go), and a reducer appends decoded snapshots
+// with Partial.Merge and folds the result once; and the migd daemon
+// (internal/serve) keeps live Partials per ingest segment, checkpoints
+// them as snapshots, and folds them all at once on demand.
 //
 // A Partial accumulates only what its journal cannot reproduce — record
 // and error counts, the op×class accumulators and the startup-latency
@@ -39,30 +39,21 @@ import (
 // interning segment paths in the order the replayed records first touch
 // them.
 
-// Accumulator is the unified online accumulator: Analysis under the name
-// the incremental paths use. The two names alias one type.
-type Accumulator = Analysis
-
-// NewAccumulator builds an empty online accumulator — New under its
-// accumulator name.
-func NewAccumulator(opts Options) *Accumulator { return New(opts) }
-
 // Partial is one trace segment's partial accumulation: a segment-local
-// Accumulator holding what FoldPartials sums, whose reference journal —
-// the replay log FoldPartials consumes — is always retained, plus the
-// segment's record-time bounds.
+// Analysis holding what FoldPartials sums plus the reference journal —
+// the replay log FoldPartials consumes and the s1 snapshot serializes —
+// and the segment's record-time bounds.
 type Partial struct {
-	acc *Accumulator
+	acc *Analysis
 
 	// first and last bound every observed record, errors included.
 	first, last time.Time
 }
 
-// NewPartial opens an empty segment accumulator. The segment journals
-// unconditionally and never carries a namespace Tree, whatever opts
-// says: a Partial's journal is its serialized truth.
+// NewPartial opens an empty segment accumulator. The segment never
+// carries a namespace Tree, whatever opts says: a Partial's journal is
+// its serialized truth, and trees are not serialized.
 func NewPartial(opts Options) *Partial {
-	opts.Journal = true
 	opts.Tree = nil
 	return &Partial{acc: New(opts)}
 }
@@ -90,8 +81,7 @@ func (p *Partial) Records() int64 { return p.acc.total }
 func (p *Partial) Errors() int64 { return p.acc.errors }
 
 // DedupWindow reports the §5.3 window the segment was accumulated
-// under. FoldPartials refuses a segment whose window differs from the
-// master's.
+// under. FoldPartials and Merge refuse a segment whose window differs.
 func (p *Partial) DedupWindow() time.Duration { return p.acc.opts.DedupWindow }
 
 // VisitRefs replays the segment's good references in record order,
@@ -109,31 +99,70 @@ func (p *Partial) VisitRefs(fn func(path string, op trace.Op, start time.Time, s
 // (zero for an empty segment), errors included.
 func (p *Partial) Bounds() (first, last time.Time) { return p.first, p.last }
 
-// WriteSnapshot serializes the segment's accumulator in the s1 format —
-// the daemon's checkpoint unit. The segment stays live and can keep
-// observing records afterwards.
-func (p *Partial) WriteSnapshot(w io.Writer) error {
-	return p.acc.WriteSnapshot(w)
+// SetBounds replaces the segment's record-time bounds with externally
+// recorded ones. A decoded snapshot bounds itself by its journal, which
+// holds no error records; migd's checkpoint frames carry the full
+// bounds. A zero bound keeps the current one.
+func (p *Partial) SetBounds(first, last time.Time) {
+	if !first.IsZero() {
+		p.first = first
+	}
+	if !last.IsZero() {
+		p.last = last
+	}
 }
 
-// PartialFromSnapshot rebuilds a segment from a decoded snapshot
-// accumulator plus its externally-recorded record-time bounds (the s1
-// format does not carry the bounds of error records; the daemon's
-// checkpoint frames do). A zero bound falls back to the journal's.
-func PartialFromSnapshot(acc *Accumulator, first, last time.Time) (*Partial, error) {
-	if !acc.opts.Journal {
-		return nil, errors.New("core: a segment accumulator must carry its journal")
+// Merge appends next, a later segment of the same trace, to p, as if p
+// had gone on to observe next's records: the sums add up (the same code
+// FoldPartials runs), next's journal is appended with its paths
+// re-interned into p's table in first-seen order, and the bounds widen.
+// next must not start before p's last reference and must share p's
+// dedup window; an unanchored p takes next's calendar origin. On error
+// p is untouched; next is never modified.
+func (p *Partial) Merge(next *Partial) error {
+	a, b := p.acc, next.acc
+	if b.opts.DedupWindow != a.opts.DedupWindow {
+		return fmt.Errorf("dedup window %v disagrees with the merged segments' %v",
+			b.opts.DedupWindow, a.opts.DedupWindow)
 	}
-	p := &Partial{acc: acc, first: first, last: last}
-	if n := len(acc.journal); n > 0 {
-		if p.first.IsZero() {
-			p.first = time.Unix(0, acc.journal[0].start).UTC()
-		}
-		if p.last.IsZero() {
-			p.last = time.Unix(0, acc.journal[n-1].start).UTC()
-		}
+	if n := len(a.journal); n > 0 && len(b.journal) > 0 && b.journal[0].start < a.journal[n-1].start {
+		return fmt.Errorf("segment starts at %v, before merged data ending %v (segments must merge in trace order)",
+			time.Unix(0, b.journal[0].start).UTC(), time.Unix(0, a.journal[n-1].start).UTC())
 	}
-	return p, nil
+	if a.start.IsZero() {
+		a.start = b.start
+	}
+	a.addSums(b)
+	for _, e := range b.journal {
+		e.id = a.internFile(b.interner.Path(e.id))
+		a.journal = append(a.journal, e)
+	}
+	if p.first.IsZero() {
+		p.first = next.first
+	}
+	if !next.last.IsZero() {
+		p.last = next.last
+	}
+	return nil
+}
+
+// ObserveStream reads src to its end into one fresh segment — the
+// snapshot producers' path. Records must arrive in non-decreasing start
+// order; an out-of-order record is an error.
+func ObserveStream(opts Options, src trace.Stream) (*Partial, error) {
+	p := NewPartial(opts)
+	for {
+		r, err := src.Next()
+		switch {
+		case err == io.EOF:
+			return p, nil
+		case err != nil:
+			return nil, err
+		case r.Start.Before(p.last):
+			return nil, fmt.Errorf("core: stream out of order: %v after %v", r.Start, p.last)
+		}
+		p.Observe(&r)
+	}
 }
 
 // AccumulatePartial runs one contiguous segment of records through a
@@ -166,8 +195,7 @@ func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 // must share the master's dedup window, and the merged replay must not
 // start before the last reference already folded (segments fold in
 // trace order across calls). On any error the master is untouched.
-func (a *Accumulator) FoldPartials(ps []*Partial) error {
-	entries := 0
+func (a *Analysis) FoldPartials(ps []*Partial) error {
 	from := int64(math.MaxInt64) // the merged replay's first instant
 	for i, p := range ps {
 		sub := p.acc
@@ -175,12 +203,11 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 			return fmt.Errorf("segment %d dedup window %v disagrees with the master's %v",
 				i, sub.opts.DedupWindow, a.opts.DedupWindow)
 		}
-		if n := len(sub.journal); n > 0 {
-			entries += n
+		if len(sub.journal) > 0 {
 			from = min(from, sub.journal[0].start)
 		}
 	}
-	if entries > 0 && !a.lastStart.IsZero() && from < a.lastStart.UnixNano() {
+	if !a.lastStart.IsZero() && from < a.lastStart.UnixNano() {
 		return fmt.Errorf("segments start at %v, before already-folded data ending %v (segments must fold in trace order)",
 			time.Unix(0, from).UTC(), a.lastStart)
 	}
@@ -200,32 +227,10 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 			}
 		}
 	}
-	if entries > 0 && start.IsZero() {
-		return errors.New("journal entries present but no segment has a start time")
-	}
 	a.start = start
 
 	for _, p := range ps {
-		sub := p.acc
-		a.total += sub.total
-		a.errors += sub.errors
-		for oi := 0; oi < 2; oi++ {
-			for ci := 0; ci < device.NClasses; ci++ {
-				a.refs[oi][ci] += sub.refs[oi][ci]
-				a.bytes[oi][ci] += sub.bytes[oi][ci]
-				a.latency[oi][ci].n += sub.latency[oi][ci].n
-				a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-			}
-		}
-		for ci, c := range sub.latCDF {
-			if c == nil {
-				continue
-			}
-			if a.latCDF[ci] == nil {
-				a.latCDF[ci] = &stats.CDF{}
-			}
-			a.latCDF[ci].Merge(c)
-		}
+		a.addSums(p.acc)
 	}
 
 	// Merge-replay the journals. The heap orders by (start, segment
@@ -262,6 +267,32 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 		}
 	}
 	return nil
+}
+
+// addSums adds what a segment accumulates itself — the record and
+// error counts, the op×class accumulators and the startup-latency CDFs
+// — into a. All are integer sums or sample lists concatenated in
+// segment order, so the result does not depend on how the trace was cut.
+func (a *Analysis) addSums(sub *Analysis) {
+	a.total += sub.total
+	a.errors += sub.errors
+	for oi := 0; oi < 2; oi++ {
+		for ci := 0; ci < device.NClasses; ci++ {
+			a.refs[oi][ci] += sub.refs[oi][ci]
+			a.bytes[oi][ci] += sub.bytes[oi][ci]
+			a.latency[oi][ci].n += sub.latency[oi][ci].n
+			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
+		}
+	}
+	for ci, c := range sub.latCDF {
+		if c == nil {
+			continue
+		}
+		if a.latCDF[ci] == nil {
+			a.latCDF[ci] = &stats.CDF{}
+		}
+		a.latCDF[ci].Merge(c)
+	}
 }
 
 // journalCursor is one segment's replay position in the merge heap.

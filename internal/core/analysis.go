@@ -44,22 +44,13 @@ type Options struct {
 	// When nil, directory statistics are derived from the trace alone
 	// and are conditioned on non-emptiness.
 	Tree *namespace.Tree
-
-	// Journal retains the compact per-reference journal WriteSnapshot
-	// serializes (one entry per good reference: FileID, op, start,
-	// size), at ~24 bytes per record of extra memory. Dedup survival
-	// under the §5.3 rule does not compose from per-shard end states —
-	// earlier history can flip which accesses survive arbitrarily deep
-	// into a shard — so exact snapshot merging replays this journal;
-	// see docs/snapshots.md.
-	Journal bool
 }
 
 // Analysis accumulates one streaming pass. Create with New, feed records
 // in time order with Add, then call Report. The incremental paths — the
 // stream and b2 shard mergers, the s1 snapshot codec, and the migd
-// daemon — use this same type under its Accumulator alias, cutting the
-// trace into Partial segments and folding them (see accum.go). To keep
+// daemon — cut the trace into Partial segments, each a segment-local
+// Analysis, and fold them into a master one (see accum.go). To keep
 // all the paths byte-identical, every accumulator below is either an
 // exact integer sum or an order-insensitive sample list that a fold
 // adds up (addShared), or is recomputed at fold time by replaying the
@@ -115,12 +106,12 @@ type Analysis struct {
 	dynFiles [2]*stats.CDF
 	dynBytes [2]*stats.WeightedCDF
 
-	// journal is the good-reference journal behind Options.Journal:
-	// exactly what snapshot merging must replay, in record order.
+	// journal is a Partial's good-reference journal: exactly what a
+	// fold must replay, in record order. A master's stays empty.
 	journal []journalEntry
 }
 
-// journalEntry is one good reference as the snapshot journal stores it:
+// journalEntry is one good reference as a segment's journal stores it:
 // the file's dense ID, the direction, the start instant, and the size.
 // Everything else a snapshot needs merges by sums or CDF concatenation.
 type journalEntry struct {
@@ -314,15 +305,10 @@ func (a *Analysis) internFile(path string) trace.FileID {
 // addFileAccessID advances one file's part-two state (reference counts,
 // interreference gaps) under the §5.3 dedup rule. Dedup depends only on
 // the file's own access history in time order, which is what lets a
-// fold replay each segment's journal through this same transition. When
-// the journal is enabled it is also the single capture point feeding
-// that journal.
+// fold replay each segment's journal through this same transition.
 //
 //filemig:hotpath
 func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
-	if a.opts.Journal {
-		a.appendJournal(id, op, start, size)
-	}
 	f := &a.files[id]
 	f.size = size
 	survives := false
@@ -349,11 +335,10 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time
 	}
 }
 
-// appendJournal records one good reference in the snapshot/replay
-// journal without running addRef — the capture half of
-// addFileAccessID. Segment accumulators (Partial) call it directly:
-// everything addRef computes is replayed into a master at fold time, so
-// computing it locally would be wasted work.
+// appendJournal records one good reference in a segment's replay
+// journal — all Partial.Observe keeps of it beyond the sums: everything
+// addRef computes is replayed into a master at fold time, so computing
+// it in the segment would be wasted work.
 //
 //filemig:hotpath
 func (a *Analysis) appendJournal(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {

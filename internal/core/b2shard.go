@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -35,12 +34,9 @@ type B2Options struct {
 	From, To time.Time
 }
 
-// blockGroup is one shard's worth of whole blocks: a contiguous block
-// range and its total index record count, for presizing.
-type blockGroup struct {
-	lo, hi int // block index range [lo, hi)
-	count  int64
-}
+// blockGroup is one shard's worth of whole blocks: the contiguous block
+// range [lo, hi).
+type blockGroup struct{ lo, hi int }
 
 // AnalyzeB2 computes the paper's full Report from an opened b2 trace
 // by fanning block groups over a bounded worker pool, decoding blocks
@@ -97,34 +93,40 @@ func AccumulateB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Analys
 		origin = first.Truncate(24 * time.Hour)
 	}
 	opts.Start = origin
-	return accumulateB2Range(ctx, opts, f, lo, hi)
+
+	// One pool job per block group; each worker decodes with its own
+	// block decoder.
+	master := New(opts.Options)
+	groups := b2Groups(opts, f, lo, hi)
+	cut := func() (blockGroup, bool, error) {
+		if len(groups) == 0 {
+			return blockGroup{}, false, nil
+		}
+		g := groups[0]
+		groups = groups[1:]
+		return g, true, nil
+	}
+	decode := func() func(blockGroup) (*Partial, error) {
+		d := f.NewBlockDecoder()
+		return func(g blockGroup) (*Partial, error) { return accumulateB2Group(opts, f, d, g) }
+	}
+	if err := foldShards(ctx, master, opts.Workers, cut, decode); err != nil {
+		return nil, err
+	}
+	return master, nil
 }
 
-// AccumulateB2Blocks analyses exactly blocks [lo, hi) of f — the
-// distributed shard path. Block ranges are an exact partition of the
-// record sequence (unlike time windows, which cannot split two records
-// sharing a timestamp across blocks), so analysing each range of a
-// contiguous partition with Options.Journal set and merging the
-// snapshots in range order reproduces the single-process analysis
-// byte-for-byte. The From/To window does not apply here and must be
-// zero.
-func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
-	if !opts.From.IsZero() || !opts.To.IsZero() {
-		return nil, errors.New("core: AccumulateB2Blocks takes a block range, not a From/To window")
-	}
+// ObserveB2Blocks observes exactly blocks [lo, hi) of f into one
+// segment — the distributed shard path. Block ranges are an exact
+// partition of the record sequence (unlike time windows, which cannot
+// split two records sharing a timestamp across blocks), so the
+// snapshots of a contiguous partition, merged in range order, reproduce
+// the single-process analysis byte-for-byte.
+func ObserveB2Blocks(opts Options, f *trace.B2File, lo, hi int) (*Partial, error) {
 	if lo < 0 || hi > f.NumBlocks() || lo > hi {
 		return nil, fmt.Errorf("core: block range [%d, %d) outside [0, %d)", lo, hi, f.NumBlocks())
 	}
-	if opts.ShardDuration <= 0 {
-		opts.ShardDuration = DefaultShardDuration
-	}
-	if lo >= hi {
-		return New(opts.Options), nil
-	}
-	if opts.Start.IsZero() {
-		opts.Start = f.Meta(lo).Base.Truncate(24 * time.Hour)
-	}
-	return accumulateB2Range(ctx, opts, f, lo, hi)
+	return accumulateB2Group(B2Options{StreamOptions: StreamOptions{Options: opts}}, f, f.NewBlockDecoder(), blockGroup{lo, hi})
 }
 
 // B2TaskRanges cuts a b2 file's blocks into contiguous shard-width
@@ -148,30 +150,6 @@ func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 		out[i] = [2]int{g.lo, g.hi}
 	}
 	return out
-}
-
-// accumulateB2Range runs blocks [lo, hi) (origin already resolved into
-// opts.Start) through the ordered shard pool, one job per block group;
-// each worker decodes with its own block decoder.
-func accumulateB2Range(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
-	master := New(opts.Options)
-	groups := b2Groups(opts, f, lo, hi)
-	cut := func() (blockGroup, bool, error) {
-		if len(groups) == 0 {
-			return blockGroup{}, false, nil
-		}
-		g := groups[0]
-		groups = groups[1:]
-		return g, true, nil
-	}
-	decode := func() func(blockGroup) (*Partial, error) {
-		d := f.NewBlockDecoder()
-		return func(g blockGroup) (*Partial, error) { return accumulateB2Group(opts, f, d, g) }
-	}
-	if err := foldShards(ctx, master, opts.Workers, cut, decode); err != nil {
-		return nil, err
-	}
-	return master, nil
 }
 
 // b2Window returns the range of blocks overlapping [From, To) from the
@@ -229,21 +207,24 @@ func b2Groups(opts B2Options, f *trace.B2File, lo, hi int) []blockGroup {
 		m := f.Meta(i)
 		s := shardIndex(opts.Start, opts.ShardDuration, m.Base)
 		if len(groups) == 0 || s != curShard {
-			groups = append(groups, blockGroup{lo: i, hi: i + 1, count: m.Count})
+			groups = append(groups, blockGroup{lo: i, hi: i + 1})
 			curShard = s
 			continue
 		}
-		g := &groups[len(groups)-1]
-		g.hi = i + 1
-		g.count += m.Count
+		groups[len(groups)-1].hi = i + 1
 	}
 	return groups
 }
 
-// accumulateB2Group decodes one group's blocks into a single presized
-// record slice, applies the window filter, and accumulates the shard.
+// accumulateB2Group decodes one group's blocks into a single record
+// slice presized from the index counts, applies the window filter, and
+// accumulates the shard.
 func accumulateB2Group(opts B2Options, f *trace.B2File, d *trace.B2BlockDecoder, g blockGroup) (*Partial, error) {
-	recs := make([]trace.Record, g.count)
+	var count int64
+	for i := g.lo; i < g.hi; i++ {
+		count += f.Meta(i).Count
+	}
+	recs := make([]trace.Record, count)
 	at := int64(0)
 	for i := g.lo; i < g.hi; i++ {
 		n := f.Meta(i).Count

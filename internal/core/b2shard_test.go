@@ -112,14 +112,14 @@ func TestB2Equivalence(t *testing.T) {
 		}
 	}
 
-	// The parallel block stream feeding the ordinary stream analysis.
-	f := openB2(t, enc)
-	rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: 4, ShardDuration: 13 * 24 * time.Hour}, f.Stream(3))
+	// The sequential b2 reader feeding the ordinary stream analysis.
+	rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: 4, ShardDuration: 13 * 24 * time.Hour},
+		trace.NewB2Reader(bytes.NewReader(enc)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := renderAll(rep); got != want {
-		t.Fatalf("parallel block stream diverged from slice path:\n%s", firstDiff(want, got))
+		t.Fatalf("b2 stream diverged from slice path:\n%s", firstDiff(want, got))
 	}
 }
 
@@ -227,19 +227,18 @@ func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 }
 
 // TestB2SnapshotEquivalence pins the distributed-run contract: the
-// index-seek path with the journal enabled serializes the exact same s1
-// snapshot bytes as the sequential streaming path.
+// block-range shard segments, merged in range order, serialize the exact
+// same s1 snapshot bytes as the sequential streaming path.
 func TestB2SnapshotEquivalence(t *testing.T) {
 	res := streamFixture(t)
-	opts := Options{DedupWindow: workload.DedupWindow, Journal: true}
+	opts := Options{DedupWindow: workload.DedupWindow}
 	enc := encodeB2Blocks(t, res.Records, 64)
 	recs, err := trace.ReadAll(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	a1, err := AccumulateStream(context.Background(), StreamOptions{Options: opts, Workers: 3},
-		trace.SliceStream(recs))
+	a1, err := ObserveStream(opts, trace.SliceStream(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +247,26 @@ func TestB2SnapshotEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, shard := range []time.Duration{0, 5 * 24 * time.Hour} {
 		f := openB2(t, enc)
-		a2, err := AccumulateB2(context.Background(), B2Options{StreamOptions: StreamOptions{
-			Options: opts, Workers: workers,
-		}}, f)
-		if err != nil {
-			t.Fatal(err)
+		var a2 *Partial
+		for _, r := range B2TaskRanges(f, shard) {
+			p, err := ObserveB2Blocks(opts, f, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a2 == nil {
+				a2 = p
+			} else if err := a2.Merge(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var s2 bytes.Buffer
 		if err := a2.WriteSnapshot(&s2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-			t.Fatalf("workers=%d: index-seek snapshot differs from the streamed snapshot", workers)
+			t.Fatalf("shard=%v: block-range snapshot differs from the streamed snapshot", shard)
 		}
 	}
 }

@@ -70,16 +70,12 @@ func TestFoldErrorOnlyFirstSegment(t *testing.T) {
 		t.Run(fmt.Sprintf("fold restored/bounds=%v", bounded), func(t *testing.T) {
 			ps := make([]*Partial, len(parts))
 			for i, part := range parts {
-				acc, err := ReadSnapshot(bytes.NewReader(snaps[i]))
-				if err != nil {
+				var err error
+				if ps[i], err = ReadSnapshot(bytes.NewReader(snaps[i])); err != nil {
 					t.Fatal(err)
 				}
-				var first, last time.Time
 				if bounded {
-					first, last = part[0].Start, part[len(part)-1].Start
-				}
-				if ps[i], err = PartialFromSnapshot(acc, first, last); err != nil {
-					t.Fatal(err)
+					ps[i].SetBounds(part[0].Start, part[len(part)-1].Start)
 				}
 			}
 			m := New(Options{})

@@ -30,7 +30,9 @@ import (
 //     runs per record.
 //
 // TestStreamEquivalence pins all of this down by comparing rendered
-// output from both paths.
+// output from both paths. Snapshot producers do not use the pool: an s1
+// snapshot is one segment, observed sequentially (ObserveStream), since
+// observing a record costs little next to decoding it.
 
 // DefaultShardDuration is the time span of one analysis shard when
 // StreamOptions does not specify one: four weeks, long enough that
@@ -72,9 +74,7 @@ func AnalyzeStream(ctx context.Context, opts StreamOptions, src trace.Stream) (*
 
 // AccumulateStream is AnalyzeStream stopped one step short of the
 // Report: it returns the merged accumulator itself, state-identical to a
-// slice-path New + AddAll over the same records. That is the handle
-// snapshot producers need — run with Options.Journal set and hand the
-// result to WriteSnapshot.
+// slice-path New + AddAll over the same records.
 func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream) (*Analysis, error) {
 	if opts.ShardDuration <= 0 {
 		opts.ShardDuration = DefaultShardDuration

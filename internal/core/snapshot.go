@@ -12,14 +12,15 @@ import (
 	"filemig/internal/trace"
 )
 
-// The s1 analysis-snapshot codec: a serialized Analysis that any number
-// of processes can produce over slices of a trace and a reducer can
-// merge into a result byte-identical to one process analysing the whole
-// trace — the map-reduce shape of the sharded in-process path
-// (AnalyzeStream) carried across process and machine boundaries. The
-// full wire layout is specified in docs/snapshots.md; briefly, after a
-// one-line ASCII header ("#filemig-trace b1"'s sibling,
-// "#filemig-snapshot s1") a snapshot carries
+// The s1 analysis-snapshot codec: one serialized Partial — a trace
+// segment's accumulation — that any number of processes can produce
+// over slices of a trace and a reducer can merge into a result
+// byte-identical to one process analysing the whole trace — the
+// map-reduce shape of the sharded in-process path (AnalyzeStream)
+// carried across process and machine boundaries. The full wire layout
+// is specified in docs/snapshots.md; briefly, after a one-line ASCII
+// header ("#filemig-trace b1"'s sibling, "#filemig-snapshot s1") a
+// snapshot carries
 //
 //	meta      start time, dedup window, total/error counts
 //	sums      the op×class accumulators (references, bytes, latency)
@@ -27,19 +28,22 @@ import (
 //	interner  the path table, FileID-dense in first-seen order
 //	journal   one (fileID, op, Δstart, size) entry per good reference
 //
-// Two facts shape the format. First, per-file dedup survival (§5.3)
-// does not compose from end states: earlier history can flip which of a
-// later shard's accesses survive arbitrarily deep into the shard, and
-// Figure 9's interreference gaps must interleave across files in global
-// record order — so the journal, not the per-file arena, is the
-// serialized truth, and loading rebuilds the arena (plus everything
-// else derivable from (time, op, size): the calendar and periodicity
-// series, Figures 7 and 10) by replaying it through the exact code the
-// slice path runs. Second, what is not derivable from the journal — the
-// device-class split and the startup latencies — is serialized
-// directly, and doubles as an integrity check: the op×class reference
-// sums must equal the journal length, so a truncated or tampered
-// snapshot fails to load instead of skewing the merged report.
+// — exactly the fields of a Partial, so writing and reading are plain
+// encode and decode, with nothing computed or replayed. Two facts shape
+// the format. First, per-file dedup survival (§5.3) does not compose
+// from end states: earlier history can flip which of a later shard's
+// accesses survive arbitrarily deep into the shard, and Figure 9's
+// interreference gaps must interleave across files in global record
+// order — so the journal, not a per-file arena, is the serialized
+// truth, and everything derivable from (time, op, size) — per-file
+// state, the calendar and periodicity series, Figures 7 and 10 — is
+// recomputed when the segment folds (FoldPartials) by replaying it
+// through the exact code the slice path runs. Second, what is not
+// derivable from the journal — the device-class split and the startup
+// latencies — is serialized directly, and doubles as an integrity
+// check: the op×class reference sums must equal the journal length, so
+// a truncated or tampered snapshot fails to load instead of skewing the
+// merged report.
 
 // snapHasStart marks a snapshot whose analysis has seen at least one
 // record and therefore carries its resolved calendar origin. The
@@ -55,30 +59,19 @@ const maxSnapshotPathLen = 1 << 16
 // field, not an allocation.
 const maxSnapshotBlobLen = 1 << 40
 
-// WriteSnapshot serializes the analysis accumulated so far in the s1
-// format. It requires Options.Journal (the reference journal is the
-// serialized source of per-file truth) and refuses an analysis carrying
-// a namespace Tree, which is not serializable. Snapshots are typically
-// written instead of reporting: a Report call is harmless but re-orders
-// CDF samples in place, so only an unreported analysis re-saves
-// byte-identically.
-func (a *Analysis) WriteSnapshot(w io.Writer) error {
-	if !a.opts.Journal {
-		return errors.New("core: WriteSnapshot needs Options.Journal set from the start of the analysis")
-	}
-	if a.opts.Tree != nil {
-		return errors.New("core: an analysis with a namespace Tree cannot be snapshotted (trees are not serialized)")
-	}
+// WriteSnapshot serializes the segment in the s1 format — the unit
+// every snapshot producer writes and migd's checkpoint unit. The
+// segment stays live and can keep observing records afterwards.
+func (p *Partial) WriteSnapshot(w io.Writer) error {
+	a := p.acc
 	ww := trace.NewWireWriter(w)
 	ww.Raw([]byte(trace.SnapshotHeader))
 	ww.Byte('\n')
 
-	var flags byte
-	if !a.start.IsZero() {
-		flags |= snapHasStart
-	}
-	ww.Byte(flags)
-	if !a.start.IsZero() {
+	if a.start.IsZero() {
+		ww.Byte(0)
+	} else {
+		ww.Byte(snapHasStart)
 		ww.Svarint(a.start.UnixNano())
 	}
 	ww.Uvarint(uint64(a.opts.DedupWindow))
@@ -135,15 +128,6 @@ func (a *Analysis) WriteSnapshot(w io.Writer) error {
 	return ww.Flush()
 }
 
-// ReadSnapshot loads one s1 snapshot into a fresh Analysis, replaying
-// its journal so the result is state-identical to the analysis that was
-// saved — Report renders the same bytes, further records can be fed
-// with Add, and the journal stays enabled so the analysis can be
-// re-snapshotted.
-func ReadSnapshot(r io.Reader) (*Analysis, error) {
-	return MergeSnapshots(r)
-}
-
 // MergeSnapshots loads any number of s1 snapshots — in trace time
 // order, each covering a disjoint contiguous slice — and merges them
 // into one Analysis whose rendered Report is byte-identical to a single
@@ -155,10 +139,7 @@ func ReadSnapshot(r io.Reader) (*Analysis, error) {
 // snapshots. On any decode or validation error the partial merge is
 // discarded.
 func MergeSnapshots(rs ...io.Reader) (*Analysis, error) {
-	if len(rs) == 0 {
-		return nil, errors.New("core: MergeSnapshots needs at least one snapshot")
-	}
-	sm := NewSnapshotMerger()
+	var sm SnapshotMerger
 	for _, r := range rs {
 		if err := sm.Add(r); err != nil {
 			return nil, err
@@ -168,28 +149,31 @@ func MergeSnapshots(rs ...io.Reader) (*Analysis, error) {
 }
 
 // SnapshotMerger is MergeSnapshots for callers that receive snapshots
-// one at a time — the distributed coordinator folds each arriving shard
+// one at a time — the distributed coordinator merges each arriving shard
 // snapshot immediately instead of buffering them all. Snapshots must be
-// Added in trace time order; the first snapshot's resolved origin
-// anchors the merge. After any Add error the merger is poisoned and
-// every later call fails the same way.
+// Added in trace time order; each decoded segment is appended to one
+// merged Partial with Merge, and the fold runs once, in Analysis. The
+// first snapshot's resolved origin anchors the merge. The zero value is
+// an empty merger. After any Add error the merger is poisoned and every
+// later call fails the same way.
 type SnapshotMerger struct {
-	a    *Analysis
+	p    *Partial
 	n    int
 	fail error
 }
 
-// NewSnapshotMerger returns an empty merger.
-func NewSnapshotMerger() *SnapshotMerger {
-	return &SnapshotMerger{a: New(Options{Journal: true})}
-}
-
-// Add folds the next snapshot in trace order.
+// Add merges the next snapshot in trace order.
 func (sm *SnapshotMerger) Add(r io.Reader) error {
 	if sm.fail != nil {
 		return sm.fail
 	}
-	if err := sm.a.mergeSnapshot(r, sm.n == 0); err != nil {
+	p, err := ReadSnapshot(r)
+	if err == nil && sm.p != nil {
+		err = sm.p.Merge(p)
+	} else if err == nil {
+		sm.p = p
+	}
+	if err != nil {
 		sm.fail = fmt.Errorf("core: snapshot %d: %w", sm.n+1, err)
 		return sm.fail
 	}
@@ -197,46 +181,42 @@ func (sm *SnapshotMerger) Add(r io.Reader) error {
 	return nil
 }
 
-// Count reports how many snapshots have been merged so far.
-func (sm *SnapshotMerger) Count() int { return sm.n }
-
-// Analysis returns the merged analysis — state-identical to a single
-// process analysing the concatenated trace. It errors on an empty or
-// poisoned merger.
-func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
+// Partial returns the merged segment — what a single process observing
+// the concatenated trace would hold, and so what re-saving the merge as
+// one snapshot writes. It errors on an empty or poisoned merger.
+func (sm *SnapshotMerger) Partial() (*Partial, error) {
 	if sm.fail != nil {
 		return nil, sm.fail
 	}
 	if sm.n == 0 {
 		return nil, errors.New("core: no snapshots merged")
 	}
-	return sm.a, nil
+	return sm.p, nil
 }
 
-// mergeSnapshot decodes one snapshot from r into a Partial and folds
-// it into m through FoldPartials — the same fold every other path
-// takes. The master is untouched on any decode or validation error.
-func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
-	p, err := decodeSnapshot(r)
+// Analysis folds the merged segment into a fresh analysis —
+// state-identical to a single process analysing the concatenated
+// trace. It errors on an empty or poisoned merger.
+func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
+	p, err := sm.Partial()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if first {
-		m.opts.DedupWindow = p.acc.opts.DedupWindow
-	} else if m.opts.DedupWindow != p.acc.opts.DedupWindow {
-		return fmt.Errorf("dedup window %v disagrees with first snapshot's %v",
-			p.acc.opts.DedupWindow, m.opts.DedupWindow)
+	a := New(Options{DedupWindow: p.DedupWindow()})
+	if err := a.FoldPartials([]*Partial{p}); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return m.FoldPartials([]*Partial{p})
+	return a, nil
 }
 
-// decodeSnapshot decodes one s1 snapshot into a segment Partial,
+// ReadSnapshot decodes one s1 snapshot into a segment Partial,
 // validating structure and cross-checking the serialized sums against
-// the journal as it goes. Nothing is replayed here: the returned
-// segment holds the raw accumulators and the absolute-time journal, and
-// FoldPartials recomputes everything derivable when the segment folds
-// into a master.
-func decodeSnapshot(r io.Reader) (*Partial, error) {
+// the journal as it goes. Nothing is replayed: the segment holds the
+// raw accumulators and the absolute-time journal, bounded by its first
+// and last reference, and FoldPartials recomputes everything derivable
+// when the segment folds into a master. The segment re-saves
+// byte-identically and can keep observing records.
+func ReadSnapshot(r io.Reader) (*Partial, error) {
 	wr := trace.NewWireReader(r)
 	line, err := wr.Line()
 	if err != nil {
@@ -286,7 +266,7 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 		return nil, fmt.Errorf("%d error references exceed %d total", errRefs, total)
 	}
 
-	sub := New(Options{Journal: true, DedupWindow: time.Duration(dw)})
+	sub := New(Options{DedupWindow: time.Duration(dw)})
 	sub.start = start
 	sub.total = int64(total)
 	sub.errors = int64(errRefs)
@@ -368,6 +348,9 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 	if total != errRefs+uint64(refsSum) {
 		return nil, fmt.Errorf("%d total references != %d errors + %d good", total, errRefs, refsSum)
 	}
+	if nEntries > 0 && start.IsZero() {
+		return nil, errors.New("journal entries present but no start time")
+	}
 	sub.journal = make([]journalEntry, 0, capHint(nEntries))
 	var prev int64
 	seen := trace.FileID(0) // enforces dense first-seen ID order
@@ -416,7 +399,12 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 	if err := wr.ExpectEOF(); err != nil {
 		return nil, err
 	}
-	return PartialFromSnapshot(sub, time.Time{}, time.Time{})
+	p := &Partial{acc: sub}
+	if n := len(sub.journal); n > 0 {
+		p.first = time.Unix(0, sub.journal[0].start).UTC()
+		p.last = time.Unix(0, sub.journal[n-1].start).UTC()
+	}
+	return p, nil
 }
 
 // readBlob reads one length-prefixed binary section in window-sized

@@ -36,10 +36,8 @@ func fuzzSeedRecords() []trace.Record {
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	recs := fuzzSeedRecords()
 	for _, cut := range []int{len(recs), 2, 0} {
-		a := New(Options{Journal: true})
-		a.AddAll(recs[:cut])
 		var buf bytes.Buffer
-		if err := a.WriteSnapshot(&buf); err != nil {
+		if err := AccumulatePartial(Options{}, recs[:cut]).WriteSnapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -79,17 +77,15 @@ func TestFuzzSeedsValid(t *testing.T) {
 			t.Fatalf("seed record %d invalid: %v", i, err)
 		}
 	}
-	a := New(Options{Journal: true})
-	a.AddAll(recs)
 	var buf bytes.Buffer
-	if err := a.WriteSnapshot(&buf); err != nil {
+	if err := AccumulatePartial(Options{}, recs).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := m.Report()
+	rep := foldOne(t, m).Report()
 	if rep.Table3.GrandTotal != 5 || rep.Table3.ErrorRefs != 1 {
 		t.Fatalf("seed snapshot counts wrong: %+v", rep.Table3)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -12,15 +11,12 @@ import (
 	"filemig/internal/trace"
 )
 
-// saveSlice analyses one record slice with the journal enabled and
-// returns its s1 snapshot bytes — the "map" side of a distributed run.
+// saveSlice observes one record slice into a segment and returns its
+// s1 snapshot bytes — the "map" side of a distributed run.
 func saveSlice(t *testing.T, opts Options, recs []trace.Record) []byte {
 	t.Helper()
-	opts.Journal = true
-	a := New(opts)
-	a.AddAll(recs)
 	var buf bytes.Buffer
-	if err := a.WriteSnapshot(&buf); err != nil {
+	if err := AccumulatePartial(opts, recs).WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -38,6 +34,16 @@ func mergeSnapshots(t *testing.T, snaps [][]byte) *Analysis {
 		t.Fatalf("MergeSnapshots: %v", err)
 	}
 	return m
+}
+
+// foldOne folds a single segment into a fresh analysis.
+func foldOne(t *testing.T, p *Partial) *Analysis {
+	t.Helper()
+	a := New(Options{DedupWindow: p.DedupWindow()})
+	if err := a.FoldPartials([]*Partial{p}); err != nil {
+		t.Fatalf("FoldPartials: %v", err)
+	}
+	return a
 }
 
 // splitN cuts records into n contiguous slices of near-equal length.
@@ -109,22 +115,16 @@ func TestSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotStreamSaveIdentical proves the two producers agree: an
-// AccumulateStream master (sharded, parallel) with the journal on saves
-// byte-identical snapshot bytes to a slice-path analysis of the same
-// records — so distributed workers can use whichever path fits their
-// memory budget.
+// TestSnapshotStreamSaveIdentical proves the producers agree: a
+// segment observed from a record stream saves byte-identical snapshot
+// bytes to one accumulated from a slice of the same records.
 func TestSnapshotStreamSaveIdentical(t *testing.T) {
 	res := streamFixture(t)
 	want := saveSlice(t, Options{}, res.Records)
 
-	a, err := AccumulateStream(context.Background(), StreamOptions{
-		Options:       Options{Journal: true},
-		Workers:       4,
-		ShardDuration: 3 * time.Hour,
-	}, trace.SliceStream(res.Records))
+	a, err := ObserveStream(Options{}, trace.SliceStream(res.Records))
 	if err != nil {
-		t.Fatalf("AccumulateStream: %v", err)
+		t.Fatalf("ObserveStream: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := a.WriteSnapshot(&buf); err != nil {
@@ -157,10 +157,16 @@ func TestSnapshotRoundTripStable(t *testing.T) {
 
 	// A merged pair re-saves to exactly the single-slice snapshot.
 	halves := splitN(res.Records, 2)
-	m := mergeSnapshots(t, [][]byte{
-		saveSlice(t, Options{}, halves[0]),
-		saveSlice(t, Options{}, halves[1]),
-	})
+	var sm SnapshotMerger
+	for _, half := range halves {
+		if err := sm.Add(bytes.NewReader(saveSlice(t, Options{}, half))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := sm.Partial()
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if err := m.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("merged save: %v", err)
@@ -180,19 +186,21 @@ func TestSnapshotResume(t *testing.T) {
 	want := renderAll(slice.Report())
 
 	halves := splitN(res.Records, 2)
-	a, err := ReadSnapshot(bytes.NewReader(saveSlice(t, Options{}, halves[0])))
+	p, err := ReadSnapshot(bytes.NewReader(saveSlice(t, Options{}, halves[0])))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AddAll(halves[1])
-	if got := renderAll(a.Report()); got != want {
+	for i := range halves[1] {
+		p.Observe(&halves[1][i])
+	}
+	if got := renderAll(foldOne(t, p).Report()); got != want {
 		t.Fatalf("resumed analysis diverged:\n%s", firstDiff(want, got))
 	}
 }
 
-// TestSnapshotEmpty round-trips an analysis that saw no records.
+// TestSnapshotEmpty round-trips a segment that saw no records.
 func TestSnapshotEmpty(t *testing.T) {
-	a := New(Options{Journal: true})
+	a := NewPartial(Options{})
 	var buf bytes.Buffer
 	if err := a.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -201,26 +209,8 @@ func TestSnapshotEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Report().Table3.GrandTotal != 0 {
+	if foldOne(t, m).Report().Table3.GrandTotal != 0 {
 		t.Fatal("empty snapshot produced records")
-	}
-}
-
-// TestSnapshotWriteErrors covers the producer-side refusals.
-func TestSnapshotWriteErrors(t *testing.T) {
-	res := streamFixture(t)
-	var buf bytes.Buffer
-
-	a := New(Options{}) // no journal
-	a.AddAll(res.Records[:100])
-	if err := a.WriteSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "Journal") {
-		t.Fatalf("journal-less save: err = %v", err)
-	}
-
-	withTree := New(Options{Journal: true, Tree: res.Tree})
-	withTree.AddAll(res.Records[:100])
-	if err := withTree.WriteSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "Tree") {
-		t.Fatalf("tree save: err = %v", err)
 	}
 }
 
@@ -320,7 +310,7 @@ func TestSnapshotSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Report()
+	got := foldOne(t, m).Report()
 	if got.Table3.GrandTotal != want.Table3.GrandTotal ||
 		got.Table3.ErrorRefs != want.Table3.ErrorRefs ||
 		got.Table3.TotalRefs != want.Table3.TotalRefs {

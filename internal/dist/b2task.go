@@ -18,7 +18,7 @@ import (
 // distributed shard by shard. The coordinator cuts contiguous block
 // ranges from the trailing index (core.B2TaskRanges) without decoding
 // anything; workers open the same file, decode only their range, and
-// return a journaled s1 snapshot; the coordinator folds snapshots in
+// return their range's s1 snapshot; the coordinator merges snapshots in
 // range order (core.SnapshotMerger), which reproduces the
 // single-process analysis byte-for-byte. Workers must see the trace at
 // the same path — same host, or a shared filesystem.
@@ -32,7 +32,8 @@ type b2Plan struct {
 	Size    int64 `json:"size"`
 	Blocks  int   `json:"blocks"`
 	Records int64 `json:"records"`
-	// DedupWindow and Shard configure each shard's analysis.
+	// DedupWindow configures each shard's analysis; Shard is the task
+	// cut width the coordinator planned with.
 	DedupWindow time.Duration `json:"dedupWindow"`
 	Shard       time.Duration `json:"shard,omitempty"`
 }
@@ -62,7 +63,7 @@ type B2ShardConfig struct {
 // B2ShardCoordinator distributes one b2 file's analysis over workers.
 type B2ShardCoordinator struct {
 	c      *Coordinator
-	merger *core.SnapshotMerger
+	merger core.SnapshotMerger
 }
 
 // NewB2ShardCoordinator builds a coordinator serving cfg's block-range
@@ -89,7 +90,7 @@ func NewB2ShardCoordinator(cfg B2ShardConfig, opts Options) (*B2ShardCoordinator
 			return nil, err
 		}
 	}
-	b := &B2ShardCoordinator{merger: core.NewSnapshotMerger()}
+	b := &B2ShardCoordinator{}
 	b.c, err = NewCoordinator(Config{
 		Kind:     KindB2Shard,
 		PlanHash: fmt.Sprintf("%x", sha256.Sum256(blob)),
@@ -120,9 +121,16 @@ func (b *B2ShardCoordinator) Analysis() (*core.Analysis, error) {
 	return b.merger.Analysis()
 }
 
+// Partial returns the merged segment, which re-saves as the snapshot a
+// single process observing the whole file would write. Call only after
+// Serve returns nil.
+func (b *B2ShardCoordinator) Partial() (*core.Partial, error) {
+	return b.merger.Partial()
+}
+
 // newB2Exec builds the worker-side KindB2Shard executor: open the
-// plan's file per task, decode only the task's blocks, and return the
-// journaled snapshot. Opening per task keeps the executor stateless —
+// plan's file per task, decode only the task's blocks, and return their
+// segment's snapshot. Opening per task keeps the executor stateless —
 // no handle outlives a task — at the cost of re-reading the small
 // trailing index.
 func newB2Exec(blob []byte) (ExecFunc, error) {
@@ -156,16 +164,12 @@ func newB2Exec(blob []byte) (ExecFunc, error) {
 			return nil, fmt.Errorf("dist: %s indexes %d blocks/%d records here, %d/%d at the coordinator",
 				p.Path, bf.NumBlocks(), bf.NumRecords(), p.Blocks, p.Records)
 		}
-		var opts core.B2Options
-		opts.Options = core.Options{DedupWindow: p.DedupWindow, Journal: true}
-		opts.ShardDuration = p.Shard
-		opts.Workers = 1
-		a, err := core.AccumulateB2Blocks(ctx, opts, bf, t.Lo, t.Hi)
+		seg, err := core.ObserveB2Blocks(core.Options{DedupWindow: p.DedupWindow}, bf, t.Lo, t.Hi)
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
-		if err := a.WriteSnapshot(&buf); err != nil {
+		if err := seg.WriteSnapshot(&buf); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil

@@ -355,8 +355,8 @@ func spooled(t *testing.T, dir string) int {
 
 // TestB2ShardDistributedMatchesLocal distributes one b2 file's
 // block-group shards over two workers and requires the merged analysis
-// snapshot to be byte-identical to a single-process journaled
-// accumulation of the same file.
+// snapshot to be byte-identical to a single-process observation of the
+// same file.
 func TestB2ShardDistributedMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and distributes a b2 trace")
@@ -390,11 +390,8 @@ func TestB2ShardDistributedMatchesLocal(t *testing.T) {
 	}
 
 	shard := 10 * 24 * time.Hour
-	localA, err := core.AccumulateB2(context.Background(), core.B2Options{StreamOptions: core.StreamOptions{
-		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: true},
-		Workers:       2,
-		ShardDuration: shard,
-	}}, bf)
+	localA, err := core.ObserveStream(core.Options{DedupWindow: workload.DedupWindow},
+		trace.NewB2Reader(bytes.NewReader(enc.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +429,7 @@ func TestB2ShardDistributedMatchesLocal(t *testing.T) {
 			t.Errorf("worker %d: %v", i, err)
 		}
 	}
-	distA, err := b.Analysis()
+	distA, err := b.Partial()
 	if err != nil {
 		t.Fatal(err)
 	}

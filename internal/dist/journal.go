@@ -49,7 +49,7 @@ func openJournal(dir, kind, planHash string, numTasks int) (*journal, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := writeFileAtomic(path, b); err != nil {
+		if err := WriteFileAtomic(path, b); err != nil {
 			return nil, fmt.Errorf("dist: journal: %w", err)
 		}
 	case err != nil:
@@ -73,7 +73,7 @@ func spoolName(id int) string { return fmt.Sprintf("r%08d.frame", id) }
 
 // put spools one completed result durably (temp + rename).
 func (j *journal) put(id int, payload []byte) error {
-	if err := writeFileAtomic(filepath.Join(j.dir, spoolName(id)), EncodeFrame(payload)); err != nil {
+	if err := WriteFileAtomic(filepath.Join(j.dir, spoolName(id)), EncodeFrame(payload)); err != nil {
 		return fmt.Errorf("dist: journal: %w", err)
 	}
 	return nil
@@ -93,9 +93,12 @@ func (j *journal) get(id int) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// writeFileAtomic writes b to path via a temp file and rename, so a
-// kill mid-write never leaves a half-written file under the final name.
-func writeFileAtomic(path string, b []byte) error {
+// WriteFileAtomic writes b to path via a uniquely named temp file in
+// the same directory and a rename, so a kill mid-write never leaves a
+// half-written file under the final name and concurrent writers never
+// share a temp file. It is the one atomic writer for durable state: the
+// dist journal and migd's checkpoint.
+func WriteFileAtomic(path string, b []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"time"
 
 	"filemig/internal/core"
@@ -50,22 +49,22 @@ func (s *Server) EncodeCheckpoint() ([]byte, error) {
 }
 
 // Checkpoint writes the daemon's state to Config.CheckpointPath,
-// atomically: the bytes land in a temporary sibling first and are
-// renamed over the target, so a crash mid-write leaves the previous
-// checkpoint intact.
+// atomically: the bytes land in a uniquely named temporary sibling
+// first and are renamed over the target, so a crash mid-write leaves the
+// previous checkpoint intact. Checkpoints are serialized from encode to
+// rename — the ingest cadence, POST /v1/checkpoint and a caller's timer
+// may all run one at once — so an older state never replaces a newer.
 func (s *Server) Checkpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return errors.New("serve: no checkpoint path configured")
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	data, err := s.EncodeCheckpoint()
 	if err != nil {
 		return err
 	}
-	tmp := s.cfg.CheckpointPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, s.cfg.CheckpointPath); err != nil {
+	if err := dist.WriteFileAtomic(s.cfg.CheckpointPath, data); err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	s.checkpoints.Add(1)
@@ -88,8 +87,9 @@ func (s *Server) maybeCheckpoint(n int64) {
 }
 
 // RestoreCheckpoint loads a checkpoint produced by EncodeCheckpoint
-// into an empty server, rebuilding every segment (via the s1 snapshot
-// codec) and the live per-file table. The restored daemon's report is
+// into an empty server, decoding every segment with the s1 snapshot
+// codec (nothing is replayed until a report folds them) and rebuilding
+// the live per-file table. The restored daemon's report is
 // byte-identical to the pre-restart daemon's, and ingest continues from
 // where the checkpoint was cut. A checkpoint whose segments were cut
 // under a different dedup window than the server's is rejected whole,
@@ -157,7 +157,7 @@ func decodeSegment(payload []byte) (*segment, error) {
 		return nil, errors.New("bad last-bound varint")
 	}
 	payload = payload[n:]
-	acc, err := core.ReadSnapshot(bytes.NewReader(payload))
+	p, err := core.ReadSnapshot(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +168,7 @@ func decodeSegment(payload []byte) (*segment, error) {
 	if lastNs != 0 {
 		last = time.Unix(0, lastNs).UTC()
 	}
-	p, err := core.PartialFromSnapshot(acc, first, last)
-	if err != nil {
-		return nil, err
-	}
+	p.SetBounds(first, last)
 	return &segment{p: p}, nil
 }
 

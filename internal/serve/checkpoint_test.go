@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,4 +90,56 @@ func FuzzMigdCheckpointRestore(f *testing.F) {
 			t.Fatalf("restored checkpoint, broken report: %v", err)
 		}
 	})
+}
+
+// TestMigdConcurrentCheckpoints runs Checkpoint from several goroutines
+// at once, as the ingest cadence, POST /v1/checkpoint and a wall-clock
+// ticker may: every call must succeed, and the directory must be left
+// holding exactly the checkpoint of the server's state.
+func TestMigdConcurrentCheckpoints(t *testing.T) {
+	res := daemonFixture(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "migd.ckpt")
+	s, err := NewServer(Config{CheckpointPath: path, Now: restoreClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Ingest(res.Records[:200])
+
+	const goroutines, rounds = 8, 20
+	errs := make(chan error, goroutines*rounds)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := s.Checkpoint(); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := s.StatsNow().Checkpoints; n != goroutines*rounds {
+		t.Errorf("%d checkpoints counted, want %d", n, goroutines*rounds)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("checkpoint file differs from the server's state")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("checkpoint directory holds %d entries (err %v), want only the checkpoint", len(entries), err)
+	}
 }

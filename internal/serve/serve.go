@@ -8,7 +8,7 @@
 //     (the batch variant wrapped in the internal/dist CRC frame),
 //     validate it fully, and only then observe it into segment state;
 //   - GET /v1/report folds every segment into a fresh accumulator with
-//     core's one fold, Accumulator.FoldPartials — the fold the offline
+//     core's one fold, Analysis.FoldPartials — the fold the offline
 //     stream, b2 and snapshot paths take too, here merging all the
 //     segments' journals back into global time order in one call — and
 //     renders the full op×class report, byte-identical to the offline
@@ -58,7 +58,6 @@ const defaultSTPK = 1.4
 type Config struct {
 	// Opts configures every segment accumulator and the report master.
 	// Tree must be nil: a live daemon has no full-namespace snapshot.
-	// Journal is forced on for segments regardless of its value here.
 	Opts core.Options
 
 	// ShardDuration is the time width of one ingest shard (a lock
@@ -153,6 +152,9 @@ type Server struct {
 
 	filesMu sync.RWMutex
 	files   map[string]*fileState
+
+	// ckptMu serializes Checkpoint from encode to rename.
+	ckptMu sync.Mutex
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
@@ -260,17 +262,10 @@ func (s *Server) orderedSegments() []*segment {
 // records. Segments are passed sorted by first instant, then creation
 // order, which fixes the replay order of records sharing an instant
 // across segments.
-func (s *Server) Accumulate() (*core.Accumulator, error) {
+func (s *Server) Accumulate() (*core.Analysis, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.accumulateLocked()
-}
-
-// accumulateLocked is Accumulate with mu already held exclusively.
-func (s *Server) accumulateLocked() (*core.Accumulator, error) {
-	opts := s.cfg.Opts
-	opts.Journal = false
-	m := core.NewAccumulator(opts)
+	m := core.New(s.cfg.Opts)
 	segs := s.orderedSegments()
 	ps := make([]*core.Partial, len(segs))
 	for i, sg := range segs {

@@ -12,8 +12,8 @@ import (
 // fuzzB2RoundTrip is the property both the fuzzer and the seed guard
 // check: data either fails to decode, or decodes into records that
 // re-encode deterministically — encode(decode(data)) is a fixed point
-// of a further decode/encode cycle — and that the seekable parallel
-// reader agrees with the sequential one byte for byte.
+// of a further decode/encode cycle — and that the seekable block
+// decoder agrees with the sequential reader byte for byte.
 func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 	r := NewB2Reader(bytes.NewReader(data))
 	recs, err := Collect(r)
@@ -53,11 +53,11 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 		if err != nil {
 			t.Fatalf("sequentially valid file fails to open seekably: %v", err)
 		}
-		par, err := Collect(f.Stream(3))
+		blocks, err := collectBlocks(f)
 		if err != nil {
-			t.Fatalf("sequentially valid file fails parallel decode: %v", err)
+			t.Fatalf("sequentially valid file fails block decode: %v", err)
 		}
-		requireSameRecords(t, par, recs, "parallel vs sequential")
+		requireSameRecords(t, blocks, recs, "block decode vs sequential")
 	}
 	return true
 }
@@ -65,7 +65,7 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 // FuzzB2RoundTrip is the robustness gate for the b2 decoder, mirroring
 // FuzzSnapshotRoundTrip: arbitrary input must either be rejected with
 // an error or decode into records that re-encode byte-stably and read
-// identically through both the sequential and the parallel reader.
+// identically through both the sequential reader and the block decoder.
 func FuzzB2RoundTrip(f *testing.F) {
 	for _, seed := range b2FuzzSeeds() {
 		f.Add(seed)

@@ -123,15 +123,13 @@ func TestB2MultiBlock(t *testing.T) {
 	if f.DecodeCount() != 0 {
 		t.Fatalf("opening the file decoded %d blocks; planning must decode none", f.DecodeCount())
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := Collect(f.Stream(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameRecords(t, got, recs, "parallel")
+	got, err = collectBlocks(f)
+	if err != nil {
+		t.Fatalf("block decode: %v", err)
 	}
-	if f.DecodeCount() != 3*15 {
-		t.Fatalf("DecodeCount = %d after three full reads of 15 blocks", f.DecodeCount())
+	requireSameRecords(t, got, recs, "block decode")
+	if f.DecodeCount() != 15 {
+		t.Fatalf("DecodeCount = %d after one full read of 15 blocks", f.DecodeCount())
 	}
 
 	// Block metadata matches the records without decoding.
@@ -238,10 +236,25 @@ func decodeB2All(data []byte) error {
 	if err != nil {
 		return seqErr
 	}
-	if _, err := Collect(f.Stream(2)); err == nil {
+	if _, err := collectBlocks(f); err == nil {
 		return nil
 	}
 	return seqErr
+}
+
+// collectBlocks decodes every block of f in file order through one
+// seekable block decoder.
+func collectBlocks(f *B2File) ([]Record, error) {
+	d := f.NewBlockDecoder()
+	var out []Record
+	for i := 0; i < f.NumBlocks(); i++ {
+		recs, err := d.Decode(i)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, recs...)
+	}
+	return out, nil
 }
 
 func TestB2TruncationTorture(t *testing.T) {
@@ -389,51 +402,6 @@ func TestB2MalformedInput(t *testing.T) {
 	for name, in := range cases {
 		if _, err := Collect(NewB2Reader(bytes.NewReader([]byte(in)))); err == nil {
 			t.Errorf("%s: decoded cleanly", name)
-		}
-	}
-}
-
-func TestB2ParallelErrorIsDeterministic(t *testing.T) {
-	// Corrupt an early block's body; whatever worker order, the stream
-	// must report that block's CRC failure (after the records of the
-	// blocks before it), at every worker count.
-	_, enc := b2Fixture(t, 40, 4)
-	f0, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in block 2's body: entry offsets are private, so find
-	// it by decoding geometry from the clean file.
-	d := f0.NewBlockDecoder()
-	if _, err := d.Decode(2); err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), enc...)
-	mut[f0.entries[2].offset+5] ^= 0x10
-	for _, workers := range []int{1, 2, 8} {
-		f, err := OpenB2File(bytes.NewReader(mut), int64(len(mut)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := f.Stream(workers)
-		n := 0
-		var gotErr error
-		for {
-			_, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				gotErr = err
-				break
-			}
-			n++
-		}
-		if gotErr == nil {
-			t.Fatalf("workers=%d: corrupt block decoded cleanly", workers)
-		}
-		if n != 8 { // blocks 0 and 1 hold 4 records each
-			t.Fatalf("workers=%d: %d records before the error, want 8", workers, n)
 		}
 	}
 }

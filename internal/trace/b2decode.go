@@ -11,7 +11,7 @@ import (
 )
 
 // The shared b2 decode layer: both b2 readers — the sequential stream
-// reader in b2reader.go and the seekable parallel reader in b2file.go —
+// reader in b2reader.go and the seekable block decoder in b2file.go —
 // materialize one whole section body into memory (the frames are small
 // and CRC-framed, so there is nothing to gain from streaming inside
 // one), verify its checksum, and hand the bytes here. This file decodes
